@@ -98,9 +98,6 @@ class SignedGraph:
         mask = self._neighbor_masks[v]
         return tuple(i for i in range(self.n) if mask >> i & 1)
 
-    def neighbor_mask(self, v: int) -> int:
-        return self._neighbor_masks[v]
-
     def degree(self, v: int) -> int:
         return self._neighbor_masks[v].bit_count()
 
@@ -161,14 +158,14 @@ def relabel(g: SignedGraph, perm) -> SignedGraph:
     )
 
 
-def _bfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int]]:
-    """Deterministic rooted spanning forest.
+def _bfs_forest(adj) -> tuple[list[int], list[int], list[int]]:
+    """Deterministic rooted spanning forest of the graph with neighbor bitmasks ``adj``.
 
     Roots are the minimum-id vertex of each component; traversal is BFS with
     neighbors visited in ascending id.  Returns (parent, component, order)
     where parent[root] = -1 and component labels count up from 0.
     """
-    n = g.n
+    n = len(adj)
     parent = [-1] * n
     comp = [-1] * n
     order = []
@@ -177,20 +174,34 @@ def _bfs_forest(g: SignedGraph) -> tuple[list[int], list[int], list[int]]:
         if comp[root] >= 0:
             continue
         comp[root] = label
-        queue = [root]
         order.append(root)
-        head = 0
-        while head < len(queue):
-            v = queue[head]
+        head = len(order) - 1
+        while head < len(order):
+            v = order[head]
             head += 1
-            for w in g.neighbors(v):
+            nb = adj[v]
+            while nb:
+                b = nb & -nb
+                nb ^= b
+                w = b.bit_length() - 1
                 if comp[w] < 0:
                     comp[w] = label
                     parent[w] = v
-                    queue.append(w)
                     order.append(w)
         label += 1
     return parent, comp, order
+
+
+def _forest_potential(g: SignedGraph) -> tuple[list[int], list[int], list[int]]:
+    """(parent, component, theta): theta(v) is the sign product along the
+    forest path from v's root, so switching by theta makes the forest positive."""
+    parent, comp, order = _bfs_forest(g._neighbor_masks)
+    theta = [1] * g.n
+    for v in order:
+        p = parent[v]
+        if p >= 0:
+            theta[v] = theta[p] * g.sign(p, v)
+    return parent, comp, theta
 
 
 @dataclass(frozen=True)
@@ -214,12 +225,7 @@ class NormalForm:
 
 def switching_normal_form(g: SignedGraph) -> NormalForm:
     """Canonical representative of the switching class of ``g``'s signature."""
-    parent, comp, order = _bfs_forest(g)
-    theta = [1] * g.n
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            theta[v] = theta[p] * g.sign(p, v)
+    parent, comp, theta = _forest_potential(g)
     forest = {(min(v, p), max(v, p)) for v, p in enumerate(parent) if p >= 0}
     residual = []
     for (u, v), s in zip(g.edges, g.signs):
@@ -238,12 +244,7 @@ def switching_representative(g: SignedGraph) -> SignedGraph:
 
 def is_balanced(g: SignedGraph) -> bool:
     """True iff some vertex potential theta realizes every sign as theta(u)*theta(v)."""
-    parent, _, order = _bfs_forest(g)
-    theta = [1] * g.n
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            theta[v] = theta[p] * g.sign(p, v)
+    _, _, theta = _forest_potential(g)
     return all(s == theta[u] * theta[v] for (u, v), s in zip(g.edges, g.signs))
 
 

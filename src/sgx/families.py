@@ -39,7 +39,6 @@ __all__ = [
     "q1_partition",
     "q2_partition",
     "parse_family",
-    "family_spec_string",
 ]
 
 
@@ -201,10 +200,3 @@ def parse_family(spec: str) -> SignedGraph:
             raise
         raise ValueError(f"unparseable family spec {spec!r}") from exc
     raise ValueError(f"unknown family kind {kind!r} in spec {spec!r}")
-
-
-def family_spec_string(kind: str, params) -> str:
-    if kind == "knminus":
-        n, edges = params
-        return f"knminus:{n}:" + ";".join(f"{u}-{v}" for u, v in edges)
-    return f"{kind}:" + ",".join(str(p) for p in params)

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    ISO_SIZE_LIMIT,
     SignedGraph,
+    _bfs_forest,
     is_balanced,
     is_switching_isomorphic,
     new_signed_graph,
-    unbalanced_triangles,
 )
 from .families import g_poly, gamma, pq1_poly, pq2_poly, q1_matrix, q2_matrix, sigma, u1
 from .forbidden import ForbiddenSpec, count_unbalanced_triangles, is_forbidden_free
@@ -39,6 +40,8 @@ from .rng import SplitMix64
 from .sgio import to_sg_text
 from .spectra import (
     _JACOBI_KERNEL,
+    DEFAULT_TOL,
+    MAX_SWEEPS,
     ConvergenceError,
     char_poly_exact,
     index,
@@ -69,6 +72,7 @@ LOCAL_SEARCH_CAP = 64
 CLASS_TOL = 1e-9
 IMPROVE_TOL = 1e-10
 DEFAULT_POOL = 1024
+MAX_STEPS = 400
 WORKERS_ENV = "SGX_WORKERS"
 
 
@@ -106,35 +110,43 @@ def _decode_adj(n: int, gmask: int):
     return slots, adj
 
 
-def _forest_residual(n: int, slots, adj, slot_of):
+def _forest_residual(slots, adj, slot_of):
     """Lex-BFS spanning forest; returns (component count, residual slot list)."""
-    comp = [-1] * n
-    forest = set()
-    c = 0
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = c
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            nb = adj[v]
-            while nb:
-                b = nb & -nb
-                w = b.bit_length() - 1
-                nb ^= b
-                if comp[w] == -1:
-                    comp[w] = c
-                    forest.add(slot_of[(v, w)] if v < w else slot_of[(w, v)])
-                    queue.append(w)
-        c += 1
-    return c, [k for k in slots if k not in forest]
+    parent, comp, _ = _bfs_forest(adj)
+    forest = {slot_of[(p, v) if p < v else (v, p)] for v, p in enumerate(parent) if p >= 0}
+    return max(comp) + 1, [k for k in slots if k not in forest]
+
+
+def _balanced(n: int, gmask: int, sigmask: int) -> bool:
+    """Mask form of core.is_balanced: the potential fixed along the lex-BFS
+    forest must reproduce the sign of every edge."""
+    pairs, slot_of = _pairs(n)
+    slots, adj = _decode_adj(n, gmask)
+    parent, _, order = _bfs_forest(adj)
+    minus = 0  # vertices whose potential is -1
+    for v in order:
+        p = parent[v]
+        if p >= 0 and (minus >> p ^ sigmask >> slot_of[(p, v) if p < v else (v, p)]) & 1:
+            minus |= 1 << v
+    return not any((sigmask >> k ^ minus >> pairs[k][0] ^ minus >> pairs[k][1]) & 1 for k in slots)
+
+
+def _residual_signatures(residual):
+    """Every nonzero sign assignment on the residual slots, as a slot mask,
+    in counting order over ``residual``."""
+    res_bits = [1 << k for k in residual]
+    for s in range(1, 1 << len(residual)):
+        sig = 0
+        while s:
+            b = s & -s
+            sig |= res_bits[b.bit_length() - 1]
+            s ^= b
+        yield sig
 
 
 def _triangle_masks(slots, adj, slot_of, pairs):
-    """One slot-mask per triangle; the sign product is odd-parity of neg slots."""
+    """One slot-mask per triangle, grouped by its first edge in ``slots`` order;
+    the sign product is the odd-parity of the negative slots."""
     tris = []
     for k in slots:
         u, v = pairs[k]
@@ -148,28 +160,44 @@ def _triangle_masks(slots, adj, slot_of, pairs):
     return tris
 
 
-def _fill_buf(buf, pairs, slots, sigmask) -> None:
+def _tri_free(sigmask: int, tris, kind: str, t: int) -> bool:
+    """Freeness from tc3:t/c3 (fewer than t unbalanced triangles) or book:t
+    (fewer than t on any one edge), read off the triangle masks."""
+    if kind == "book":
+        per: dict[int, int] = {}
+        for tm in tris:
+            if (sigmask & tm).bit_count() & 1:
+                rem = tm
+                while rem:
+                    b = rem & -rem
+                    rem ^= b
+                    per[b] = val = per.get(b, 0) + 1
+                    if val >= t:
+                        return False
+        return True
+    cnt = 0
+    for tm in tris:
+        if (sigmask & tm).bit_count() & 1:
+            cnt += 1
+            if cnt >= t:
+                return False
+    return True
+
+
+def _eig_extremes(buf, gmask: int, sigmask: int) -> tuple[float, float]:
+    """(lambda_1, lambda_n) of the signed graph (gmask, sigmask), solved in buf."""
+    n = len(buf)
+    pairs, _ = _pairs(n)
     buf[:] = 0.0
-    for k in slots:
-        u, v = pairs[k]
-        s = -1.0 if sigmask >> k & 1 else 1.0
-        buf[u, v] = s
-        buf[v, u] = s
-
-
-def _eig_extremes(buf, n) -> tuple[float, float]:
-    """(lambda_1, lambda_n) of the symmetric matrix currently in buf."""
-    if _JACOBI_KERNEL(buf, n, 1e-12, 100) < 0:
+    for k, (u, v) in enumerate(pairs):
+        if gmask >> k & 1:
+            s = -1.0 if sigmask >> k & 1 else 1.0
+            buf[u, v] = s
+            buf[v, u] = s
+    if _JACOBI_KERNEL(buf, n, DEFAULT_TOL, MAX_SWEEPS) < 0:
         raise ConvergenceError("Jacobi did not converge")
-    mx = buf[0, 0]
-    mn = buf[0, 0]
-    for i in range(1, n):
-        d = buf[i, i]
-        if d > mx:
-            mx = d
-        if d < mn:
-            mn = d
-    return float(mx), float(mn)
+    diag = buf.diagonal().tolist()
+    return max(diag), min(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +231,6 @@ def total_switching_classes(n: int) -> int:
 def _scan_extremal_range(args):
     (n, kind, t, lo, hi, pool_cap) = args
     pairs, slot_of = _pairs(n)
-    npairs = len(pairs)
     masks = np.arange(lo, hi, dtype=np.uint32)
     mcount = np.bitwise_count(masks).astype(np.int32)
     supp = np.zeros(len(masks), dtype=np.int32)
@@ -230,8 +257,8 @@ def _scan_extremal_range(args):
         if full:
             theta = pool[-1][0]
 
-    fast_tc3 = kind in ("tc3", "c3")
-    fast_book = kind == "book"
+    fast = kind != "friendship"
+    spec = ForbiddenSpec(kind, t)
 
     for oi in order:
         h = float(hong[oi])
@@ -240,58 +267,25 @@ def _scan_extremal_range(args):
         gmask = int(masks[oi])
         if gmask == 0:
             continue
-        slots, adj = _decode_adj(n, gmask)
-        _fill_buf(buf, pairs, slots, 0)
-        lam_g, _ = _eig_extremes(buf, n)
+        lam_g, _ = _eig_extremes(buf, gmask, 0)
         stats["graphs_eig"] += 1
         if full and lam_g < theta - CLASS_TOL:
             continue
-        c, residual = _forest_residual(n, slots, adj, slot_of)
+        slots, adj = _decode_adj(n, gmask)
+        _, residual = _forest_residual(slots, adj, slot_of)
         r = len(residual)
         if r == 0:
             continue  # forests carry a single, balanced switching class
         tris = _triangle_masks(slots, adj, slot_of, pairs)
-        res_bits = [1 << k for k in residual]
         stats["graphs_enum"] += 1
         stats["classes_enum"] += 1 << r
-        for s in range(1, 1 << r):
-            sig = 0
-            tmp = s
-            while tmp:
-                b = tmp & -tmp
-                sig |= res_bits[b.bit_length() - 1]
-                tmp ^= b
-            if fast_tc3:
-                cnt = 0
-                for tm in tris:
-                    if (sig & tm).bit_count() & 1:
-                        cnt += 1
-                        if cnt >= t:
-                            break
-                if cnt >= t:
+        for sig in _residual_signatures(residual):
+            if fast:
+                if not _tri_free(sig, tris, kind, t):
                     continue
-            elif fast_book:
-                per = {}
-                worst = 0
-                for tm in tris:
-                    if (sig & tm).bit_count() & 1:
-                        rem = tm
-                        while rem:
-                            bb = rem & -rem
-                            rem ^= bb
-                            k = bb.bit_length() - 1
-                            val = per.get(k, 0) + 1
-                            per[k] = val
-                            if val > worst:
-                                worst = val
-                if worst >= t:
-                    continue
-            else:
-                g = _mask_graph(n, gmask, sig)
-                if not is_forbidden_free(g, ForbiddenSpec(kind, t)):
-                    continue
-            _fill_buf(buf, pairs, slots, sig)
-            lam, _ = _eig_extremes(buf, n)
+            elif not is_forbidden_free(_mask_graph(n, gmask, sig), spec):
+                continue
+            lam, _ = _eig_extremes(buf, gmask, sig)
             stats["survivors"] += 1
             if full and lam < theta - CLASS_TOL:
                 continue
@@ -331,26 +325,26 @@ class ClassificationTag:
         return f"{self.kind}({', '.join(str(p) for p in self.params)})"
 
 
-def classify(g: SignedGraph, size_limit: int = 10) -> ClassificationTag:
+def classify(g: SignedGraph) -> ClassificationTag:
     """Match a graph against the gamma/sigma/u1 grids consistent with its
     order, size and unbalanced-triangle count; ``other`` when nothing fits."""
-    if g.n > size_limit:
-        raise ValueError(f"classify capped at n={size_limit}, got n={g.n}")
+    if g.n > ISO_SIZE_LIMIT:
+        raise ValueError(f"classify capped at n={ISO_SIZE_LIMIT}, got n={g.n}")
     n, m = g.n, g.m
     cnt = count_unbalanced_triangles(g)
 
     t = cnt + 2
     if n >= 4 and 3 <= t <= n and m == math.comb(n - 1, 2) + t - 1:
-        if is_switching_isomorphic(g, gamma(n, t), size_limit):
+        if is_switching_isomorphic(g, gamma(n, t)):
             return ClassificationTag("gamma", (n, t))
     t = cnt
     if t >= 1 and n - t - 2 >= 0 and m == math.comb(n - 2, 2) + n + t - 1 and n >= 5:
         for s in range(0, n - t - 1):
             r = n - t - 2 - s
-            if is_switching_isomorphic(g, sigma(s, t, r), size_limit):
+            if is_switching_isomorphic(g, sigma(s, t, r)):
                 return ClassificationTag("sigma", (s, t, r))
     if n >= 5 and cnt == n - 3 and m == math.comb(n - 2, 2) + 2 * (n - 3) + 1:
-        if is_switching_isomorphic(g, u1(n), size_limit):
+        if is_switching_isomorphic(g, u1(n)):
             return ClassificationTag("u1", (n,))
     return ClassificationTag("other")
 
@@ -521,7 +515,6 @@ def enumerate_extremal(
     spec: ForbiddenSpec,
     top_k: int = 1,
     workers: int | None = None,
-    pool_cap: int = DEFAULT_POOL,
     class_tol: float = CLASS_TOL,
 ) -> SearchReport:
     """Top switching-isomorphism classes by index over all spec-free
@@ -537,7 +530,7 @@ def enumerate_extremal(
     npairs = n * (n - 1) // 2
     total_masks = 1 << npairs
 
-    cap = pool_cap
+    cap = DEFAULT_POOL
     for _attempt in range(4):
         bounds = [
             (total_masks * w // workers, total_masks * (w + 1) // workers)
@@ -558,7 +551,9 @@ def enumerate_extremal(
             break
         cap *= 4
     else:
-        raise RuntimeError("candidate pool too small even after growth; raise pool_cap")
+        raise RuntimeError(
+            "candidate pool too small after four attempts of growing size; raise DEFAULT_POOL"
+        )
 
     entries = []
     for cl in classes:
@@ -613,7 +608,6 @@ def verify_spectral_bound(n: int) -> VerifyReport:
     t0 = time.perf_counter()
     bound = spectral_bound_value(n)
     pairs, slot_of = _pairs(n)
-    npairs = len(pairs)
     buf = np.zeros((n, n), dtype=np.float64)
     stats = {
         "connected_graphs": 0,
@@ -624,9 +618,9 @@ def verify_spectral_bound(n: int) -> VerifyReport:
     max_rho = 0.0
     witness = None
     violations = []
-    for gmask in range(1, 1 << npairs):
+    for gmask in range(1, 1 << len(pairs)):
         slots, adj = _decode_adj(n, gmask)
-        c, residual = _forest_residual(n, slots, adj, slot_of)
+        c, residual = _forest_residual(slots, adj, slot_of)
         if c != 1:
             continue
         stats["connected_graphs"] += 1
@@ -634,29 +628,15 @@ def verify_spectral_bound(n: int) -> VerifyReport:
         if r == 0:
             continue  # trees are balanced under every signature
         stats["classes_total"] += 1 << r
-        _fill_buf(buf, pairs, slots, 0)
-        lam_g, _ = _eig_extremes(buf, n)
+        lam_g, _ = _eig_extremes(buf, gmask, 0)
         if lam_g <= bound + CLASS_TOL:
             stats["classes_bounded_trivially"] += 1 << r
             continue
         tris = _triangle_masks(slots, adj, slot_of, pairs)
-        res_bits = [1 << k for k in residual]
-        for s in range(1, 1 << r):
-            sig = 0
-            tmp = s
-            while tmp:
-                b = tmp & -tmp
-                sig |= res_bits[b.bit_length() - 1]
-                tmp ^= b
-            clean = True
-            for tm in tris:
-                if (sig & tm).bit_count() & 1:
-                    clean = False
-                    break
-            if not clean:
+        for sig in _residual_signatures(residual):
+            if not _tri_free(sig, tris, "tc3", 1):
                 continue
-            _fill_buf(buf, pairs, slots, sig)
-            mx, mn = _eig_extremes(buf, n)
+            mx, mn = _eig_extremes(buf, gmask, sig)
             rho = max(mx, -mn)
             stats["rho_evaluations"] += 1
             if rho > max_rho:
@@ -693,139 +673,73 @@ def verify_spectral_bound(n: int) -> VerifyReport:
 # seeded stochastic search
 
 
-class _State:
-    __slots__ = ("n", "sign", "adj", "count", "idx")
-
-    def __init__(self, n: int, sign: dict, adj: list, count: int, idx: float):
-        self.n = n
-        self.sign = sign
-        self.adj = adj
-        self.count = count
-        self.idx = idx
-
-    def snapshot(self) -> tuple:
-        return tuple(sorted((u, v, s) for (u, v), s in self.sign.items()))
+def _state_index(buf, gmask: int, sigmask: int) -> float:
+    return _eig_extremes(buf, gmask, sigmask)[0]
 
 
-def _state_graph(n: int, snap) -> SignedGraph:
-    return new_signed_graph(n, list(snap))
+def _tri_delta(adj, neg, u: int, v: int, old: int | None, new: int | None) -> int:
+    """Change in unbalanced-triangle count when edge (u,v) goes old -> new.
 
-
-def _count_triangles_sign(n: int, sign: dict, adj: list) -> int:
-    cnt = 0
-    for (u, v), s in sign.items():
-        common = (adj[u] & adj[v]) >> (v + 1)
-        w = v + 1
-        while common:
-            if common & 1 and s * sign[(u, w)] * sign[(v, w)] == -1:
-                cnt += 1
-            common >>= 1
-            w += 1
-    return cnt
-
-
-def _state_unbalanced(n: int, sign: dict, adj: list) -> bool:
-    comp = [-1] * n
-    theta = [1] * n
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            nb = adj[v]
-            while nb:
-                b = nb & -nb
-                w = b.bit_length() - 1
-                nb ^= b
-                if comp[w] == -1:
-                    comp[w] = 0
-                    theta[w] = theta[v] * sign[(v, w) if v < w else (w, v)]
-                    queue.append(w)
-    return any(s != theta[u] * theta[v] for (u, v), s in sign.items())
-
-
-def _state_index(buf, n: int, sign: dict) -> float:
-    buf[:] = 0.0
-    for (u, v), s in sign.items():
-        buf[u, v] = float(s)
-        buf[v, u] = float(s)
-    mx, _ = _eig_extremes(buf, n)
-    return mx
-
-
-def _tri_delta(sign: dict, adj: list, u: int, v: int, old: int | None, new: int | None) -> int:
-    """Change in unbalanced-triangle count when edge (u,v) goes old -> new."""
-    delta = 0
+    ``adj`` and ``neg`` are the neighbor bitmasks of all edges and of the
+    negative ones; triangle uvw is unbalanced iff the sign of uv differs from
+    the sign of the path u-w-v.
+    """
     common = adj[u] & adj[v]
-    while common:
-        b = common & -common
-        w = b.bit_length() - 1
-        common ^= b
-        su = sign[(u, w) if u < w else (w, u)]
-        sv = sign[(v, w) if v < w else (w, v)]
-        if old is not None and old * su * sv == -1:
-            delta -= 1
-        if new is not None and new * su * sv == -1:
-            delta += 1
-    return delta
+    odd = (common & (neg[u] ^ neg[v])).bit_count()  # negative paths u-w-v
+    per = {None: 0, 1: odd, -1: common.bit_count() - odd}
+    return per[new] - per[old]
 
 
-def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64, buf) -> _State:
-    pairs, _ = _pairs(n)
+def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64, buf):
+    """A feasible start state (gmask, sigmask, unbalanced triangles, index).
+
+    The repair picks among unbalanced triangles grouped by their first edge
+    in edge insertion order: edges the repair adds go last, and a deleted
+    edge loses its place.  That order is part of the seeded draw sequence.
+    """
+    pairs, slot_of = _pairs(n)
     for _reset in range(64):
         p = 0.25 + 0.6 * rng.unit()
-        sign: dict = {}
-        adj = [0] * n
-        for u, v in pairs:
+        gmask = sig = 0
+        for k in range(len(pairs)):
             if rng.unit() < p:
-                sign[(u, v)] = -1 if rng.unit() < 0.25 else 1
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+                gmask |= 1 << k
+                if rng.unit() < 0.25:
+                    sig |= 1 << k
+        inserted = [k for k in range(len(pairs)) if gmask >> k & 1]
         for _repair in range(400):
-            edges = sorted(sign)
-            if not _state_unbalanced(n, sign, adj):
-                if edges and rng.unit() < 0.8:
-                    e = edges[rng.below(len(edges))]
-                    sign[e] = -sign[e]
+            slots, adj = _decode_adj(n, gmask)
+            if _balanced(n, gmask, sig):
+                if slots and rng.unit() < 0.8:
+                    sig ^= 1 << slots[rng.below(len(slots))]
                 else:
-                    absent = [pq for pq in pairs if pq not in sign]
+                    absent = [k for k in range(len(pairs)) if not gmask >> k & 1]
                     if not absent:
                         break
-                    u, v = absent[rng.below(len(absent))]
-                    sign[(u, v)] = -1
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
+                    k = absent[rng.below(len(absent))]
+                    gmask |= 1 << k
+                    sig |= 1 << k
+                    inserted.append(k)
                 continue
-            if spec.kind in ("tc3", "c3"):
-                free = _count_triangles_sign(n, sign, adj) < spec.t
+            bad = [tm for tm in _triangle_masks(inserted, adj, slot_of, pairs)
+                   if (sig & tm).bit_count() & 1]
+            if spec.kind == "friendship":
+                free = is_forbidden_free(_mask_graph(n, gmask, sig), spec)
             else:
-                free = is_forbidden_free(_state_graph(n, tuple((u, v, s) for (u, v), s in sign.items())), spec)
+                free = _tri_free(sig, bad, spec.kind, spec.t)
             if free:
-                count = _count_triangles_sign(n, sign, adj)
-                idx = _state_index(buf, n, sign)
-                return _State(n, sign, adj, count, idx)
+                return gmask, sig, len(bad), _state_index(buf, gmask, sig)
             # too many forbidden pages: delete or flip an edge of some unbalanced triangle
-            tris = []
-            for (u, v), s in sign.items():
-                common = (adj[u] & adj[v]) >> (v + 1)
-                w = v + 1
-                while common:
-                    if common & 1 and s * sign[(u, w)] * sign[(v, w)] == -1:
-                        tris.append((u, v, w))
-                    common >>= 1
-                    w += 1
-            u, v, w = tris[rng.below(len(tris))]
-            e = ((u, v), (u, w), (v, w))[rng.below(3)]
+            tm = bad[rng.below(len(bad))]
+            for _ in range(rng.below(3)):
+                tm &= tm - 1
+            bit = tm & -tm
             if rng.unit() < 0.5:
-                sign.pop(e)
-                adj[e[0]] &= ~(1 << e[1])
-                adj[e[1]] &= ~(1 << e[0])
+                gmask ^= bit
+                sig &= ~bit
+                inserted.remove(bit.bit_length() - 1)
             else:
-                sign[e] = -sign[e]
+                sig ^= bit
     raise RuntimeError("could not seed a feasible start state")
 
 
@@ -835,7 +749,6 @@ def local_search(
     seed: int,
     restarts: int,
     exclude=(),
-    max_steps: int = 400,
 ) -> SearchReport:
     """Seeded steepest-ascent hill climbing over add/delete/flip edge moves.
 
@@ -857,97 +770,74 @@ def local_search(
     master = SplitMix64(seed)
     fast_count = spec.kind in ("tc3", "c3")
 
-    global_best: tuple[float, tuple] | None = None
+    global_best = None  # (gmask, sigmask, unbalanced triangles, index)
     restart_bests: list[float | None] = []
 
-    def is_excluded(snap) -> bool:
+    def is_excluded(gmask: int, sigmask: int) -> bool:
         if not excluded:
             return False
-        g = _state_graph(n, snap)
+        g = _mask_graph(n, gmask, sigmask)
         return any(is_switching_isomorphic(g, ex) for ex in excluded)
 
     for _restart in range(restarts):
         rng = master.split()
         st = _random_state(n, spec, rng, buf)
         for _resample in range(16):
-            if not is_excluded(st.snapshot()):
+            if not is_excluded(st[0], st[1]):
                 break
             st = _random_state(n, spec, rng, buf)
         else:
             raise RuntimeError("could not seed a start state outside the excluded classes")
-        for _step in range(max_steps):
+        for _step in range(MAX_STEPS):
+            gmask, sig, count, idx = st
+            _, adj = _decode_adj(n, gmask)
+            _, neg = _decode_adj(n, gmask & sig)
             moves = []
-            for u, v in pairs:
-                if (u, v) in st.sign:
-                    moves.append(("del", u, v, 0))
-                    moves.append(("flip", u, v, 0))
+            for k in range(len(pairs)):
+                if gmask >> k & 1:
+                    moves += ((k, None), (k, 1 if sig >> k & 1 else -1))  # delete, flip
                 else:
-                    moves.append(("add", u, v, 1))
-                    moves.append(("add", u, v, -1))
+                    moves += ((k, 1), (k, -1))
             candidates = []  # (idx, order_key, state)
-            for order_key, (op, u, v, s) in enumerate(moves):
-                old = st.sign.get((u, v))
-                if op == "del":
-                    new = None
-                elif op == "flip":
-                    new = -old
-                else:
-                    new = s
-                if fast_count:
-                    ncount = st.count + _tri_delta(st.sign, st.adj, u, v, old, new)
-                    if ncount >= spec.t:
-                        continue
-                cand_sign = dict(st.sign)
-                cand_adj = list(st.adj)
-                if new is None:
-                    cand_sign.pop((u, v))
-                    cand_adj[u] &= ~(1 << v)
-                    cand_adj[v] &= ~(1 << u)
-                else:
-                    cand_sign[(u, v)] = new
-                    cand_adj[u] |= 1 << v
-                    cand_adj[v] |= 1 << u
-                if not _state_unbalanced(n, cand_sign, cand_adj):
+            for order_key, (k, new) in enumerate(moves):
+                bit = 1 << k
+                old = (-1 if sig & bit else 1) if gmask & bit else None
+                u, v = pairs[k]
+                ncount = count + _tri_delta(adj, neg, u, v, old, new)
+                if fast_count and ncount >= spec.t:
                     continue
-                if not fast_count:
-                    cand_g = new_signed_graph(
-                        n, [(a, b, sg) for (a, b), sg in cand_sign.items()]
-                    )
-                    if not is_forbidden_free(cand_g, spec):
-                        continue
-                    ncount = count_unbalanced_triangles(cand_g)
-                idx = _state_index(buf, n, cand_sign)
-                if idx > st.idx + IMPROVE_TOL:
-                    candidates.append(
-                        (idx, order_key, _State(n, cand_sign, cand_adj, ncount, idx))
-                    )
+                cand_g = gmask & ~bit if new is None else gmask | bit
+                cand_s = sig | bit if new == -1 else sig & ~bit
+                if _balanced(n, cand_g, cand_s):
+                    continue
+                if not fast_count and not is_forbidden_free(_mask_graph(n, cand_g, cand_s), spec):
+                    continue
+                cand_idx = _state_index(buf, cand_g, cand_s)
+                if cand_idx > idx + IMPROVE_TOL:
+                    candidates.append((cand_idx, order_key, (cand_g, cand_s, ncount, cand_idx)))
             candidates.sort(key=lambda c: (-c[0], c[1]))
-            improved = False
             for _idx, _key, cand in candidates:
-                if is_excluded(cand.snapshot()):
-                    continue
-                st = cand
-                improved = True
+                if not is_excluded(cand[0], cand[1]):
+                    st = cand
+                    break
+            else:
                 break
-            if not improved:
-                break
-        best_here = (st.idx, st.snapshot())
-        restart_bests.append(best_here[0])
-        if global_best is None or best_here[0] > global_best[0]:
-            global_best = best_here
+        restart_bests.append(st[3])
+        if global_best is None or st[3] > global_best[3]:
+            global_best = st
 
     entries = []
     if global_best is not None:
-        g = _state_graph(n, global_best[1])
+        g = _mask_graph(n, global_best[0], global_best[1])
         if is_balanced(g) or not is_forbidden_free(g, spec):
             raise AssertionError("search incumbent violates its own filter")
         mult = sum(
-            1 for b in restart_bests if b is not None and abs(b - global_best[0]) <= CLASS_TOL
+            1 for b in restart_bests if b is not None and abs(b - global_best[3]) <= CLASS_TOL
         )
-        tag = classify(g) if n <= 10 else ClassificationTag("other")
+        tag = classify(g) if n <= ISO_SIZE_LIMIT else ClassificationTag("other")
         entries.append(
             ClassEntry(
-                index=global_best[0],
+                index=global_best[3],
                 unbalanced_triangles=count_unbalanced_triangles(g),
                 graph=g,
                 tag=tag,

@@ -8,7 +8,6 @@ integers, or Fractions for rational input), never through floating point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+# largest double whose square is finite: above it tau * tau overflows, and the
+# rotation tangent 1 / (|tau| + sqrt(1 + tau^2)) rounds to a signed zero
+_TAU_MAX = 1.3407807929942596e154
 
 
 class ConvergenceError(RuntimeError):
@@ -60,7 +62,11 @@ def _jacobi_sweeps(a, n, tol, max_sweeps):
                 if apq == 0.0:
                     continue
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
+                if tau > _TAU_MAX:
+                    t = 0.0
+                elif tau < -_TAU_MAX:
+                    t = -0.0
+                elif tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
@@ -464,11 +470,3 @@ def matrix_from_json_obj(obj) -> np.ndarray:
                 r.append(x)
         rows.append(r)
     return np.array(rows, dtype=np.int64 if exact else np.float64)
-
-
-def matrix_json_dumps(mat) -> str:
-    return json.dumps(matrix_to_json_obj(mat))
-
-
-def matrix_json_loads(s: str) -> np.ndarray:
-    return matrix_from_json_obj(json.loads(s))

@@ -148,6 +148,9 @@ def test_criterion_07_oracle_equivalence():
         (4, ForbiddenSpec("c3")),
         (5, ForbiddenSpec("tc3", 2)),
         (5, ForbiddenSpec("tc3", 3)),
+        (4, ForbiddenSpec("book", 2)),
+        (5, ForbiddenSpec("book", 2)),
+        (5, ForbiddenSpec("friendship", 2)),
     ]
     for n, spec in cases:
         mine = enumerate_extremal(n, spec, top_k=5)

@@ -35,7 +35,7 @@ def test_class_totals_match_brute_force():
         brute = 0
         for gmask in range(1 << len(pairs)):
             slots, adj = _decode_adj(n, gmask)
-            _, residual = _forest_residual(n, slots, adj, slot_of)
+            _, residual = _forest_residual(slots, adj, slot_of)
             brute += 1 << len(residual)
         assert total_switching_classes(n) == brute
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from sgx.core import new_signed_graph, switch
 from sgx.families import gamma, kn_minus, q1_partition, q2_partition, sigma, u1
 from sgx.rng import SplitMix64
 from sgx.spectra import (
+    _JACOBI_KERNEL,
+    _jacobi_sweeps,
     char_poly_exact,
     eigenvalues_symmetric,
     index,
@@ -86,6 +89,26 @@ def test_eigenvalues_match_exact_charpoly_roots():
             spec = eigenvalues_symmetric(g.adjacency_matrix())
             assert len(roots) == n
             assert max(abs(a - b) for a, b in zip(roots, spec.values)) < 1e-8
+
+
+@pytest.mark.parametrize("kernel", [_jacobi_sweeps, _JACOBI_KERNEL], ids=["interpreted", "kernel"])
+@pytest.mark.parametrize(
+    "mat,diag_hex",
+    [
+        ([[0, 1e-160, 0.5], [1e-160, 1, 0], [0.5, 0, 3]],
+         "29b5a5ad83c5b4bf000000000000f03fa92d6d1d2ca60840"),
+        ([[1, 1e-160, 0.5], [1e-160, 0, 0], [0.5, 0, 3]],
+         "b016d0c81039ec3f000000000000000054facbcdbbf10840"),
+    ],
+)
+def test_jacobi_huge_tau_takes_signed_zero_rotation(kernel, mat, diag_hex):
+    # |tau| ~ 5e159 squares past the double range; the rotation tangent is
+    # then +-0.0, with no overflow warning and the same bits as before
+    a = np.array(mat, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel(a, 3, 1e-12, 100) >= 0
+    assert np.ascontiguousarray(np.diag(a)).tobytes().hex() == diag_hex
 
 
 # --- exact characteristic polynomials ----------------------------------------
