@@ -257,7 +257,6 @@ def _scan_extremal_range(args):
         if full:
             theta = pool[-1][0]
 
-    fast = kind != "friendship"
     spec = ForbiddenSpec(kind, t)
 
     for oi in order:
@@ -280,10 +279,10 @@ def _scan_extremal_range(args):
         stats["graphs_enum"] += 1
         stats["classes_enum"] += 1 << r
         for sig in _residual_signatures(residual):
-            if fast:
-                if not _tri_free(sig, tris, kind, t):
+            if kind == "friendship":
+                if not is_forbidden_free(_mask_graph(n, gmask, sig), spec):
                     continue
-            elif not is_forbidden_free(_mask_graph(n, gmask, sig), spec):
+            elif not _tri_free(sig, tris, kind, t):
                 continue
             lam, _ = _eig_extremes(buf, gmask, sig)
             stats["survivors"] += 1
@@ -674,6 +673,7 @@ def verify_spectral_bound(n: int) -> VerifyReport:
 
 
 def _state_index(buf, gmask: int, sigmask: int) -> float:
+    """Index (lambda_1) of a local-search state."""
     return _eig_extremes(buf, gmask, sigmask)[0]
 
 
@@ -731,7 +731,7 @@ def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64, buf):
                 return gmask, sig, len(bad), _state_index(buf, gmask, sig)
             # too many forbidden pages: delete or flip an edge of some unbalanced triangle
             tm = bad[rng.below(len(bad))]
-            for _ in range(rng.below(3)):
+            for _ in range(rng.below(3)):  # its edges uv, uw, vw in slot order
                 tm &= tm - 1
             bit = tm & -tm
             if rng.unit() < 0.5:

@@ -62,14 +62,10 @@ def _jacobi_sweeps(a, n, tol, max_sweeps):
                 if apq == 0.0:
                     continue
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau > _TAU_MAX:
-                    t = 0.0
-                elif tau < -_TAU_MAX:
-                    t = -0.0
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                if tau >= 0.0:
+                    t = 0.0 if tau > _TAU_MAX else 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                    t = -0.0 if tau < -_TAU_MAX else -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 app = a[p, p]
