@@ -801,17 +801,21 @@ def local_search(
             candidates = []  # (idx, order_key, state)
             for order_key, (k, new) in enumerate(moves):
                 bit = 1 << k
-                old = (-1 if sig & bit else 1) if gmask & bit else None
-                u, v = pairs[k]
-                ncount = count + _tri_delta(adj, neg, u, v, old, new)
-                if fast_count and ncount >= spec.t:
-                    continue
+                if fast_count:
+                    old = (-1 if sig & bit else 1) if gmask & bit else None
+                    u, v = pairs[k]
+                    ncount = count + _tri_delta(adj, neg, u, v, old, new)
+                    if ncount >= spec.t:
+                        continue
                 cand_g = gmask & ~bit if new is None else gmask | bit
                 cand_s = sig | bit if new == -1 else sig & ~bit
                 if _balanced(n, cand_g, cand_s):
                     continue
-                if not fast_count and not is_forbidden_free(_mask_graph(n, cand_g, cand_s), spec):
-                    continue
+                if not fast_count:
+                    graph = _mask_graph(n, cand_g, cand_s)
+                    if not is_forbidden_free(graph, spec):
+                        continue
+                    ncount = count_unbalanced_triangles(graph)
                 cand_idx = _state_index(buf, cand_g, cand_s)
                 if cand_idx > idx + IMPROVE_TOL:
                     candidates.append((cand_idx, order_key, (cand_g, cand_s, ncount, cand_idx)))
