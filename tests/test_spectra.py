@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import warnings
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from sgx.families import gamma, kn_minus, q1_partition, q2_partition, sigma, u1
 from sgx.rng import SplitMix64
 from sgx.spectra import (
     _JACOBI_KERNEL,
+    DEFAULT_TOL,
+    MAX_SWEEPS,
     _jacobi_sweeps,
     char_poly_exact,
     eigenvalues_symmetric,
@@ -109,6 +113,58 @@ def test_jacobi_huge_tau_takes_signed_zero_rotation(kernel, mat, diag_hex):
         warnings.simplefilter("error")
         assert kernel(a, 3, 1e-12, 100) >= 0
     assert np.ascontiguousarray(np.diag(a)).tobytes().hex() == diag_hex
+
+
+def _kernel_corpus():
+    """The pinned Jacobi corpus, as lists of float rows."""
+    mats = []
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    for code in range(3 ** len(pairs)):  # every signed graph on 4 vertices
+        a = [[0.0] * 4 for _ in range(4)]
+        for u, v in pairs:
+            code, s = divmod(code, 3)
+            if s:
+                a[u][v] = a[v][u] = 1.0 if s == 1 else -1.0
+        mats.append(a)
+    rng = SplitMix64(2025)
+    for n in range(5, 13):
+        for _ in range(6):
+            mats.append(random_graph(n, rng).adjacency_matrix().astype(np.float64).tolist())
+    for n in (20, 30, 40):
+        t = n // 2
+        for g in (gamma(n, t), sigma(1, t - 1, n - t - 2), u1(n)):
+            mats.append(g.adjacency_matrix().astype(np.float64).tolist())
+    # symmetric only within 1e-13: the kernel must read column entries
+    a = [[0.0] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            a[i][j] = a[j][i] = 2.0 * rng.unit() - 1.0
+        for j in range(i):
+            a[i][j] += 1e-13 * (2.0 * rng.unit() - 1.0)
+    mats.append(a)
+    return mats
+
+
+# SHA-256 over (diagonal, sweep count) of every corpus matrix, in corpus order,
+# generated from the array-indexed kernel that the row kernel replaced
+KERNEL_CORPUS_DIGEST = "bc87155f27bc4ad53b4f6bfbc8c8af437be677159f72529daba278fd464a22cd"
+
+
+def _corpus_digest(solve) -> str:
+    h = hashlib.sha256()
+    for rows in _kernel_corpus():
+        diag, sweeps = solve(rows)
+        h.update(struct.pack(f"<{len(diag)}dq", *diag, sweeps))
+    return h.hexdigest()
+
+
+def test_jacobi_kernel_corpus_digest():
+    def solve(rows):
+        a = np.array(rows, dtype=np.float64, order="C")
+        sweeps = _JACOBI_KERNEL(a, len(rows), DEFAULT_TOL, MAX_SWEEPS)
+        return np.diag(a).tolist(), sweeps
+
+    assert _corpus_digest(solve) == KERNEL_CORPUS_DIGEST
 
 
 # --- exact characteristic polynomials ----------------------------------------
