@@ -39,10 +39,7 @@ from .forbidden import ForbiddenSpec, count_unbalanced_triangles, is_forbidden_f
 from .rng import SplitMix64
 from .sgio import to_sg_text
 from .spectra import (
-    _JACOBI_KERNEL,
-    DEFAULT_TOL,
-    MAX_SWEEPS,
-    ConvergenceError,
+    _diagonalise,
     char_poly_exact,
     index,
     poly_mul,
@@ -184,19 +181,14 @@ def _tri_free(sigmask: int, tris, kind: str, t: int) -> bool:
     return True
 
 
-def _eig_extremes(buf, gmask: int, sigmask: int) -> tuple[float, float]:
-    """(lambda_1, lambda_n) of the signed graph (gmask, sigmask), solved in buf."""
-    n = len(buf)
+def _eig_extremes(n: int, gmask: int, sigmask: int) -> tuple[float, float]:
+    """(lambda_1, lambda_n) of the signed graph (gmask, sigmask)."""
     pairs, _ = _pairs(n)
-    buf[:] = 0.0
+    rows = [[0.0] * n for _ in range(n)]
     for k, (u, v) in enumerate(pairs):
         if gmask >> k & 1:
-            s = -1.0 if sigmask >> k & 1 else 1.0
-            buf[u, v] = s
-            buf[v, u] = s
-    if _JACOBI_KERNEL(buf, n, DEFAULT_TOL, MAX_SWEEPS) < 0:
-        raise ConvergenceError("Jacobi did not converge")
-    diag = buf.diagonal().tolist()
+            rows[u][v] = rows[v][u] = -1.0 if sigmask >> k & 1 else 1.0
+    diag = _diagonalise(rows, n)
     return max(diag), min(diag)
 
 
@@ -243,7 +235,6 @@ def _scan_extremal_range(args):
     hong = np.sqrt(np.maximum(2 * mcount - supp + 1, 1).astype(np.float64))
     order = np.lexsort((masks, -hong))
 
-    buf = np.zeros((n, n), dtype=np.float64)
     pool: list[tuple[float, int, int]] = []
     theta = -math.inf
     full = False
@@ -266,7 +257,7 @@ def _scan_extremal_range(args):
         gmask = int(masks[oi])
         if gmask == 0:
             continue
-        lam_g, _ = _eig_extremes(buf, gmask, 0)
+        lam_g, _ = _eig_extremes(n, gmask, 0)
         stats["graphs_eig"] += 1
         if full and lam_g < theta - CLASS_TOL:
             continue
@@ -284,7 +275,7 @@ def _scan_extremal_range(args):
                     continue
             elif not _tri_free(sig, tris, kind, t):
                 continue
-            lam, _ = _eig_extremes(buf, gmask, sig)
+            lam, _ = _eig_extremes(n, gmask, sig)
             stats["survivors"] += 1
             if full and lam < theta - CLASS_TOL:
                 continue
@@ -607,7 +598,6 @@ def verify_spectral_bound(n: int) -> VerifyReport:
     t0 = time.perf_counter()
     bound = spectral_bound_value(n)
     pairs, slot_of = _pairs(n)
-    buf = np.zeros((n, n), dtype=np.float64)
     stats = {
         "connected_graphs": 0,
         "classes_total": 0,
@@ -627,7 +617,7 @@ def verify_spectral_bound(n: int) -> VerifyReport:
         if r == 0:
             continue  # trees are balanced under every signature
         stats["classes_total"] += 1 << r
-        lam_g, _ = _eig_extremes(buf, gmask, 0)
+        lam_g, _ = _eig_extremes(n, gmask, 0)
         if lam_g <= bound + CLASS_TOL:
             stats["classes_bounded_trivially"] += 1 << r
             continue
@@ -635,7 +625,7 @@ def verify_spectral_bound(n: int) -> VerifyReport:
         for sig in _residual_signatures(residual):
             if not _tri_free(sig, tris, "tc3", 1):
                 continue
-            mx, mn = _eig_extremes(buf, gmask, sig)
+            mx, mn = _eig_extremes(n, gmask, sig)
             rho = max(mx, -mn)
             stats["rho_evaluations"] += 1
             if rho > max_rho:
@@ -672,9 +662,9 @@ def verify_spectral_bound(n: int) -> VerifyReport:
 # seeded stochastic search
 
 
-def _state_index(buf, gmask: int, sigmask: int) -> float:
+def _state_index(n: int, gmask: int, sigmask: int) -> float:
     """Index (lambda_1) of a local-search state."""
-    return _eig_extremes(buf, gmask, sigmask)[0]
+    return _eig_extremes(n, gmask, sigmask)[0]
 
 
 def _tri_delta(adj, neg, u: int, v: int, old: int | None, new: int | None) -> int:
@@ -690,7 +680,7 @@ def _tri_delta(adj, neg, u: int, v: int, old: int | None, new: int | None) -> in
     return per[new] - per[old]
 
 
-def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64, buf):
+def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64):
     """A feasible start state (gmask, sigmask, unbalanced triangles, index).
 
     The repair picks among unbalanced triangles grouped by their first edge
@@ -728,7 +718,7 @@ def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64, buf):
             else:
                 free = _tri_free(sig, bad, spec.kind, spec.t)
             if free:
-                return gmask, sig, len(bad), _state_index(buf, gmask, sig)
+                return gmask, sig, len(bad), _state_index(n, gmask, sig)
             # too many forbidden pages: delete or flip an edge of some unbalanced triangle
             tm = bad[rng.below(len(bad))]
             for _ in range(rng.below(3)):  # its edges uv, uw, vw in slot order
@@ -765,7 +755,6 @@ def local_search(
         raise ValueError("restarts must be in [1, 10^6]")
     t0 = time.perf_counter()
     pairs, _ = _pairs(n)
-    buf = np.zeros((n, n), dtype=np.float64)
     excluded = [g for g in exclude]
     master = SplitMix64(seed)
     fast_count = spec.kind in ("tc3", "c3")
@@ -781,11 +770,11 @@ def local_search(
 
     for _restart in range(restarts):
         rng = master.split()
-        st = _random_state(n, spec, rng, buf)
+        st = _random_state(n, spec, rng)
         for _resample in range(16):
             if not is_excluded(st[0], st[1]):
                 break
-            st = _random_state(n, spec, rng, buf)
+            st = _random_state(n, spec, rng)
         else:
             raise RuntimeError("could not seed a start state outside the excluded classes")
         for _step in range(MAX_STEPS):
@@ -809,14 +798,15 @@ def local_search(
                         continue
                 cand_g = gmask & ~bit if new is None else gmask | bit
                 cand_s = sig | bit if new == -1 else sig & ~bit
-                if _balanced(n, cand_g, cand_s):
+                # an unbalanced triangle already proves the candidate unbalanced
+                if (not fast_count or ncount == 0) and _balanced(n, cand_g, cand_s):
                     continue
                 if not fast_count:
                     graph = _mask_graph(n, cand_g, cand_s)
                     if not is_forbidden_free(graph, spec):
                         continue
                     ncount = count_unbalanced_triangles(graph)
-                cand_idx = _state_index(buf, cand_g, cand_s)
+                cand_idx = _state_index(n, cand_g, cand_s)
                 if cand_idx > idx + IMPROVE_TOL:
                     candidates.append((cand_idx, order_key, (cand_g, cand_s, ncount, cand_idx)))
             candidates.sort(key=lambda c: (-c[0], c[1]))
@@ -870,6 +860,13 @@ def local_search(
 # verifiers
 
 
+def _q2_remainder_ok(n: int) -> bool:
+    """(x+1) g_{n,n-2} - P_{Q2} == 4(n - x - 4), in exact integers."""
+    return poly_sub(
+        poly_mul((1, 1), g_poly(n, n - 2).coeffs), pq2_poly(n).coeffs
+    ) == (4 * n - 16, -4)
+
+
 def verify_identities(n_lo: int = 9, n_hi: int = 20) -> VerifyReport:
     """Exact polynomial identities tying the quotient matrices to the cubic.
 
@@ -895,10 +892,7 @@ def verify_identities(n_lo: int = 9, n_hi: int = 20) -> VerifyReport:
             if lhs != rhs:
                 rem1_ok = False
         q2_ok = char_poly_exact(q2_matrix(n)).coeffs == pq2_poly(n).coeffs
-        rem2_ok = (
-            poly_sub(poly_mul((1, 1), g_poly(n, n - 2).coeffs), pq2_poly(n).coeffs)
-            == (4 * n - 16, -4)
-        )
+        rem2_ok = _q2_remainder_ok(n)
         row_ok = q1_ok and rem1_ok and q2_ok and rem2_ok
         ok = ok and row_ok
         rows.append(
@@ -954,10 +948,7 @@ def verify_u1_gap(n_lo: int, n_hi: int) -> VerifyReport:
     rows = []
     ok = True
     for n in range(n_lo, n_hi + 1):
-        identity_ok = (
-            poly_sub(poly_mul((1, 1), g_poly(n, n - 2).coeffs), pq2_poly(n).coeffs)
-            == (4 * n - 16, -4)
-        )
+        identity_ok = _q2_remainder_ok(n)
         gap = index(gamma(n, n - 2)) - index(u1(n))
         asserted = n >= 9
         row_ok = identity_ok and (gap > CLASS_TOL if asserted else True)

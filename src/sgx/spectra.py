@@ -49,43 +49,50 @@ def _jacobi_sweeps(a, n, tol, max_sweeps):
     # Cyclic Jacobi, row-major rotation order (p < q), deterministic.
     # Terminates when the off-diagonal Frobenius norm drops below tol.
     # Returns the number of sweeps used, or -1 on non-convergence.
+    # ``a`` is indexed row by row, so it may be a list of float rows (fast
+    # when interpreted) or a C-contiguous array (the jit signature).
+    # Updates read column entries ak[p], ak[q]: the input may be asymmetric
+    # within tol.
     for sweep in range(max_sweeps):
         off = 0.0
         for i in range(n - 1):
+            ai = a[i]
             for j in range(i + 1, n):
-                off += a[i, j] * a[i, j]
+                off += ai[j] * ai[j]
         if math.sqrt(2.0 * off) < tol:
             return sweep
         for p in range(n - 1):
+            ap = a[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = ap[q]
                 if apq == 0.0:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                aq = a[q]
+                app = ap[p]
+                aqq = aq[q]
+                tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 0.0 if tau > _TAU_MAX else 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -0.0 if tau < -_TAU_MAX else -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                app = a[p, p]
-                aqq = a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+                ap[p] = app - t * apq
+                aq[q] = aqq + t * apq
+                ap[q] = 0.0
+                aq[p] = 0.0
                 for k in range(n):
                     if k != p and k != q:
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * akq
-                        a[p, k] = a[k, p]
-                        a[k, q] = s * akp + c * akq
-                        a[q, k] = a[k, q]
+                        ak = a[k]
+                        akp = ak[p]
+                        akq = ak[q]
+                        ak[p] = ap[k] = c * akp - s * akq
+                        ak[q] = aq[k] = s * akp + c * akq
     off = 0.0
     for i in range(n - 1):
+        ai = a[i]
         for j in range(i + 1, n):
-            off += a[i, j] * a[i, j]
+            off += ai[j] * ai[j]
     if math.sqrt(2.0 * off) >= tol:
         return -1
     return max_sweeps
@@ -101,6 +108,18 @@ try:  # jit-compiled kernel; the interpreted function stays as fallback
 except ImportError:  # pragma: no cover - exercised only without numba
     _JACOBI_KERNEL = _jacobi_sweeps
     JACOBI_JIT = False
+
+
+def _diagonalise(rows, n: int, tol: float = DEFAULT_TOL) -> list[float]:
+    """Diagonal of ``rows`` (n lists of n floats) after the Jacobi sweeps.
+
+    The one place that picks the kernel's input form: an array under the
+    jit kernel, the rows themselves (rotated in place) otherwise.
+    """
+    a = np.array(rows, dtype=np.float64) if JACOBI_JIT else rows
+    if _JACOBI_KERNEL(a, n, tol, MAX_SWEEPS) < 0:
+        raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (tol={tol:g})")
+    return [float(a[i][i]) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -134,10 +153,7 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL) -> Spectrum:
     asym = float(np.abs(a - a.T).max()) if n > 1 else 0.0
     if asym > tol:
         raise ValueError(f"matrix not symmetric within tol: max|a-a.T| = {asym:g}")
-    sweeps = _JACOBI_KERNEL(a, n, tol, MAX_SWEEPS)
-    if sweeps < 0:
-        raise ConvergenceError(f"no convergence after {MAX_SWEEPS} sweeps (tol={tol:g})")
-    vals = sorted((float(a[i, i]) for i in range(n)), reverse=True)
+    vals = sorted(_diagonalise(a.tolist(), n, tol), reverse=True)
     return Spectrum(tuple(vals), tol)
 
 

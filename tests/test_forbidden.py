@@ -1,6 +1,6 @@
 import pytest
 
-from sgx.core import new_signed_graph, relabel, switch
+from sgx.core import new_signed_graph, relabel, switch, unbalanced_triangles
 from sgx.families import gamma, kn_minus, u1
 from sgx.forbidden import (
     ForbiddenSpec,
@@ -141,6 +141,28 @@ def test_matching_against_brute_force():
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.unit() < 0.5
         ]
         assert max_matching_size(n, edges) == brute_matching_size(n, edges)
+
+
+def test_matching_matches_networkx_on_link_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(73)
+    checked = 0
+    for _ in range(30):
+        g = random_graph(8 + rng.below(5), rng, p=0.6, neg=0.4)
+        link = {v: [] for v in range(g.n)}
+        for a, b, c in unbalanced_triangles(g):
+            link[a].append((b, c))
+            link[b].append((a, c))
+            link[c].append((a, b))
+        for edges in link.values():
+            if not edges:
+                continue
+            h = nx.Graph(edges)
+            ids = {x: i for i, x in enumerate(sorted(h))}
+            size = max_matching_size(len(ids), [(ids[x], ids[y]) for x, y in edges])
+            assert size == len(nx.max_weight_matching(h, maxcardinality=True))
+            checked += 1
+    assert checked > 100
 
 
 def test_matching_blossom_case():

@@ -95,7 +95,11 @@ def test_eigenvalues_match_exact_charpoly_roots():
             assert max(abs(a - b) for a, b in zip(roots, spec.values)) < 1e-8
 
 
-@pytest.mark.parametrize("kernel", [_jacobi_sweeps, _JACOBI_KERNEL], ids=["interpreted", "kernel"])
+@pytest.mark.parametrize(
+    "kernel,as_rows",
+    [(_jacobi_sweeps, False), (_JACOBI_KERNEL, False), (_jacobi_sweeps, True)],
+    ids=["interpreted", "kernel", "rows"],
+)
 @pytest.mark.parametrize(
     "mat,diag_hex",
     [
@@ -105,14 +109,17 @@ def test_eigenvalues_match_exact_charpoly_roots():
          "b016d0c81039ec3f000000000000000054facbcdbbf10840"),
     ],
 )
-def test_jacobi_huge_tau_takes_signed_zero_rotation(kernel, mat, diag_hex):
+def test_jacobi_huge_tau_takes_signed_zero_rotation(kernel, as_rows, mat, diag_hex):
     # |tau| ~ 5e159 squares past the double range; the rotation tangent is
-    # then +-0.0, with no overflow warning and the same bits as before
+    # then +-0.0, with no overflow warning and the same bits as before, on
+    # float rows and on a C-contiguous array alike
     a = np.array(mat, dtype=np.float64)
+    if as_rows:
+        a = a.tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert kernel(a, 3, 1e-12, 100) >= 0
-    assert np.ascontiguousarray(np.diag(a)).tobytes().hex() == diag_hex
+    assert struct.pack("<3d", *(a[i][i] for i in range(3))).hex() == diag_hex
 
 
 def _kernel_corpus():
@@ -167,6 +174,28 @@ def test_jacobi_kernel_corpus_digest():
     assert _corpus_digest(solve) == KERNEL_CORPUS_DIGEST
 
 
+def test_jacobi_float_rows_give_the_pinned_bytes():
+    # the interpreted kernel on lists of Python floats, as eigenvalues_symmetric
+    # and the search run it, matches the array kernel bit for bit
+    def solve(rows):
+        sweeps = _jacobi_sweeps(rows, len(rows), DEFAULT_TOL, MAX_SWEEPS)
+        return [rows[i][i] for i in range(len(rows))], sweeps
+
+    assert _corpus_digest(solve) == KERNEL_CORPUS_DIGEST
+
+
+def test_eigenvalues_match_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = SplitMix64(11)
+    mats = []
+    for n in (1, 2, 5, 9, 20, 40):
+        a = np.array([[2.0 * rng.unit() - 1.0 for _ in range(n)] for _ in range(n)])
+        mats += [a + a.T, random_graph(n, rng).adjacency_matrix().astype(np.float64)]
+    for a in mats:
+        ref = linalg.eigvalsh(a)[::-1]
+        assert np.max(np.abs(np.array(eigenvalues_symmetric(a).values) - ref)) < 1e-9
+
+
 # --- exact characteristic polynomials ----------------------------------------
 
 
@@ -199,6 +228,16 @@ def test_charpoly_switching_invariant_exactly():
         u = {v for v in range(9) if rng.unit() < 0.5}
         assert char_poly_exact(g.adjacency_matrix()).coeffs == \
             char_poly_exact(switch(g, u).adjacency_matrix()).coeffs
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = SplitMix64(13)
+    mats = [random_graph(n, rng).adjacency_matrix().tolist() for n in (3, 5, 7, 9)]
+    mats.append([[Fraction(1, 2), 1, Fraction(-2, 3)], [1, 0, 3], [Fraction(-2, 3), 3, 5]])
+    for m in mats:
+        ref = sympy.Matrix(m).charpoly().all_coeffs()[::-1]
+        assert char_poly_exact(m).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in ref)
 
 
 def test_poly_helpers():
