@@ -3,9 +3,17 @@ import math
 
 import pytest
 
-from sgx.core import is_balanced, is_switching_isomorphic, new_signed_graph, relabel, switch
+from sgx.core import (
+    is_balanced,
+    is_switching_isomorphic,
+    new_signed_graph,
+    relabel,
+    switch,
+    unbalanced_triangles,
+)
 from sgx.families import gamma, kn_minus, sigma, u1
 from sgx.forbidden import ForbiddenSpec, is_forbidden_free
+from sgx.rng import SplitMix64
 from sgx.search import (
     classify,
     enumerate_extremal,
@@ -38,6 +46,63 @@ def test_class_totals_match_brute_force():
             _, residual = _forest_residual(slots, adj, slot_of)
             brute += 1 << len(residual)
         assert total_switching_classes(n) == brute
+
+
+# --- unbalanced-triangle lists on slot masks ------------------------------------
+
+
+def _mask_side_unbalanced(n, gmask, sig):
+    from sgx.search import _decode_adj, _pairs, _triangle_masks
+
+    pairs, slot_of = _pairs(n)
+    slots, adj = _decode_adj(n, gmask)
+    out = []
+    for tm in _triangle_masks(slots, adj, slot_of, pairs):
+        if (sig & tm).bit_count() & 1:
+            out.append(tuple(sorted({x for k, p in enumerate(pairs) if tm >> k & 1 for x in p})))
+    return tuple(out)
+
+
+def test_mask_side_unbalanced_triangles_match_core():
+    from sgx.search import _mask_graph
+
+    cases = [(4, g, s) for g in range(1 << 6) for s in range(1 << 6) if s & ~g == 0]
+    assert len(cases) == 729
+    rng = SplitMix64(404)
+    for n in range(5, 10):
+        for _ in range(40):
+            gmask = sig = 0
+            for k in range(n * (n - 1) // 2):
+                if rng.unit() < 0.6:
+                    gmask |= 1 << k
+                    if rng.unit() < 0.4:
+                        sig |= 1 << k
+            cases.append((n, gmask, sig))
+    for n, gmask, sig in cases:
+        assert _mask_side_unbalanced(n, gmask, sig) == unbalanced_triangles(_mask_graph(n, gmask, sig))
+
+
+@pytest.mark.parametrize("spec", [ForbiddenSpec("tc3", 3), ForbiddenSpec("book", 2),
+                                  ForbiddenSpec("friendship", 2)], ids=str)
+def test_move_updates_match_recomputed_triangles(spec):
+    from sgx.search import _decode_adj, _mask_graph, _pairs, _random_state, _tri_delta
+
+    rng = SplitMix64(515)
+    for n in (7, 9):
+        pairs, _ = _pairs(n)
+        for _ in range(3):
+            gmask, sig, count, _idx = _random_state(n, spec, rng)
+            assert count == len(unbalanced_triangles(_mask_graph(n, gmask, sig)))
+            _, adj = _decode_adj(n, gmask)
+            _, neg = _decode_adj(n, gmask & sig)
+            for k, (u, v) in enumerate(pairs):
+                bit = 1 << k
+                old = (-1 if sig & bit else 1) if gmask & bit else None
+                for new in ((None, -old) if old else (1, -1)):
+                    cand_g = gmask & ~bit if new is None else gmask | bit
+                    cand_s = sig | bit if new == -1 else sig & ~bit
+                    recomputed = unbalanced_triangles(_mask_graph(n, cand_g, cand_s))
+                    assert count + _tri_delta(adj, neg, u, v, old, new) == len(recomputed)
 
 
 # --- exhaustive enumeration ------------------------------------------------------
