@@ -98,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True)
     p.add_argument("--top", type=int, default=1)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--class-tol", type=float, default=1e-9,
-        help="index tolerance for merging switching classes (default 1e-9)",
-    )
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.add_argument("-o", "--output")
 
@@ -174,10 +170,7 @@ def _run(args) -> int:
 
     if cmd == "enumerate":
         spec = parse_forbidden(args.forbid)
-        report = enumerate_extremal(
-            args.n, spec, top_k=args.top, workers=args.workers,
-            class_tol=args.class_tol,
-        )
+        report = enumerate_extremal(args.n, spec, top_k=args.top, workers=args.workers)
         _emit(report, args.format, args.output)
         return 0
 

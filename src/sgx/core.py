@@ -304,9 +304,7 @@ def _vertex_invariants(g: SignedGraph) -> list[tuple]:
     ]
 
 
-def is_switching_isomorphic(
-    g: SignedGraph, h: SignedGraph, size_limit: int = ISO_SIZE_LIMIT
-) -> bool:
+def is_switching_isomorphic(g: SignedGraph, h: SignedGraph) -> bool:
     """True iff some relabeling of ``g`` is switching equivalent to ``h``.
 
     Exact backtracking over vertex bijections, pruned by switching-invariant
@@ -315,9 +313,9 @@ def is_switching_isomorphic(
     """
     if g.n != h.n:
         return False
-    if g.n > size_limit:
+    if g.n > ISO_SIZE_LIMIT:
         raise SizeLimitError(
-            f"size limit: exact switching isomorphism capped at n={size_limit}, got n={g.n}"
+            f"size limit: exact switching isomorphism capped at n={ISO_SIZE_LIMIT}, got n={g.n}"
         )
     if g.m != h.m:
         return False

@@ -21,6 +21,7 @@ __all__ = [
     "parse_forbidden",
     "count_unbalanced_triangles",
     "is_forbidden_free",
+    "triangles_free",
     "book_count",
     "friendship_count",
     "max_matching_size",
@@ -63,17 +64,23 @@ def count_unbalanced_triangles(g: SignedGraph) -> int:
     return len(unbalanced_triangles(g))
 
 
+def _edge_counts(tris) -> dict[tuple[int, int], int]:
+    """Unbalanced triangles per edge, for edges that carry at least one."""
+    per_edge: dict[tuple[int, int], int] = {}
+    for a, b, c in tris:
+        for e in ((a, b), (a, c), (b, c)):
+            per_edge[e] = per_edge.get(e, 0) + 1
+    return per_edge
+
+
 def book_count(g: SignedGraph) -> tuple[tuple[int, int], int]:
     """Edge carrying the most unbalanced triangles and that count.
 
     Ties break to the lexicographically smallest edge; an edgeless graph
     reports ((0, 1), 0) by convention.
     """
-    per_edge: dict[tuple[int, int], int] = {e: 0 for e in g.edges}
-    for a, b, c in unbalanced_triangles(g):
-        per_edge[(a, b)] += 1
-        per_edge[(a, c)] += 1
-        per_edge[(b, c)] += 1
+    per_edge = {e: 0 for e in g.edges}
+    per_edge.update(_edge_counts(unbalanced_triangles(g)))
     if not per_edge:
         return (0, 1), 0
     best = max(sorted(per_edge), key=lambda e: per_edge[e])
@@ -134,20 +141,20 @@ def max_matching_size(n: int, edges) -> int:
     return best
 
 
-def friendship_count(g: SignedGraph) -> tuple[int, int]:
-    """Hub vertex with the largest unbalanced-triangle matching in its link graph.
+def _hub_matching(n: int, tris) -> tuple[int, int]:
+    """Hub vertex with the largest matching in its link graph, and that size.
 
     The link graph of v has vertex set N(v) and an edge xy whenever vxy is an
     unbalanced triangle; a matching of size t there is t unbalanced triangles
     pairwise sharing only v.  Ties break to the smallest vertex id.
     """
-    link: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for a, b, c in unbalanced_triangles(g):
+    link: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, c in tris:
         link[a].append((b, c))
         link[b].append((a, c))
         link[c].append((a, b))
     best_v, best = 0, 0
-    for v in range(g.n):
+    for v in range(n):
         if not link[v]:
             continue
         verts = sorted({x for e in link[v] for x in e})
@@ -158,10 +165,21 @@ def friendship_count(g: SignedGraph) -> tuple[int, int]:
     return best_v, best
 
 
+def friendship_count(g: SignedGraph) -> tuple[int, int]:
+    """Hub vertex with the largest unbalanced-triangle matching in its link graph."""
+    return _hub_matching(g.n, unbalanced_triangles(g))
+
+
+def triangles_free(n: int, tris, spec: ForbiddenSpec) -> bool:
+    """True iff the unbalanced triangles ``tris`` of a graph on n vertices,
+    each a vertex triple a < b < c, hold no copy of the forbidden configuration."""
+    if spec.kind == "book":
+        return max(_edge_counts(tris).values(), default=0) < spec.t
+    if spec.kind == "friendship":
+        return _hub_matching(n, tris)[1] < spec.t
+    return len(tris) < spec.t
+
+
 def is_forbidden_free(g: SignedGraph, spec: ForbiddenSpec) -> bool:
     """True iff ``g`` contains no copy of the forbidden configuration."""
-    if spec.kind in ("tc3", "c3"):
-        return count_unbalanced_triangles(g) < spec.t
-    if spec.kind == "book":
-        return book_count(g)[1] < spec.t
-    return friendship_count(g)[1] < spec.t
+    return triangles_free(g.n, unbalanced_triangles(g), spec)

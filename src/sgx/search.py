@@ -35,7 +35,12 @@ from .core import (
     new_signed_graph,
 )
 from .families import g_poly, gamma, pq1_poly, pq2_poly, q1_matrix, q2_matrix, sigma, u1
-from .forbidden import ForbiddenSpec, count_unbalanced_triangles, is_forbidden_free
+from .forbidden import (
+    ForbiddenSpec,
+    count_unbalanced_triangles,
+    is_forbidden_free,
+    triangles_free,
+)
 from .rng import SplitMix64
 from .sgio import to_sg_text
 from .spectra import (
@@ -142,8 +147,8 @@ def _residual_signatures(residual):
 
 
 def _triangle_masks(slots, adj, slot_of, pairs):
-    """One slot-mask per triangle, grouped by its first edge in ``slots`` order;
-    the sign product is the odd-parity of the negative slots."""
+    """One (slot mask, vertex triple u < v < w) per triangle, grouped by its
+    first edge uv in ``slots`` order."""
     tris = []
     for k in slots:
         u, v = pairs[k]
@@ -151,34 +156,16 @@ def _triangle_masks(slots, adj, slot_of, pairs):
         w = v + 1
         while common:
             if common & 1:
-                tris.append((1 << k) | (1 << slot_of[(u, w)]) | (1 << slot_of[(v, w)]))
+                tris.append(((1 << k) | (1 << slot_of[(u, w)]) | (1 << slot_of[(v, w)]), (u, v, w)))
             common >>= 1
             w += 1
     return tris
 
 
-def _tri_free(sigmask: int, tris, kind: str, t: int) -> bool:
-    """Freeness from tc3:t/c3 (fewer than t unbalanced triangles) or book:t
-    (fewer than t on any one edge), read off the triangle masks."""
-    if kind == "book":
-        per: dict[int, int] = {}
-        for tm in tris:
-            if (sigmask & tm).bit_count() & 1:
-                rem = tm
-                while rem:
-                    b = rem & -rem
-                    rem ^= b
-                    per[b] = val = per.get(b, 0) + 1
-                    if val >= t:
-                        return False
-        return True
-    cnt = 0
-    for tm in tris:
-        if (sigmask & tm).bit_count() & 1:
-            cnt += 1
-            if cnt >= t:
-                return False
-    return True
+def _unbalanced(sigmask: int, tris) -> list[tuple[int, int, int]]:
+    """The triples of ``tris`` that sigmask makes unbalanced: an odd number
+    of negative slots."""
+    return [tri for tm, tri in tris if (sigmask & tm).bit_count() & 1]
 
 
 def _eig_extremes(n: int, gmask: int, sigmask: int) -> tuple[float, float]:
@@ -270,10 +257,7 @@ def _scan_extremal_range(args):
         stats["graphs_enum"] += 1
         stats["classes_enum"] += 1 << r
         for sig in _residual_signatures(residual):
-            if kind == "friendship":
-                if not is_forbidden_free(_mask_graph(n, gmask, sig), spec):
-                    continue
-            elif not _tri_free(sig, tris, kind, t):
+            if not triangles_free(n, _unbalanced(sig, tris), spec):
                 continue
             lam, _ = _eig_extremes(n, gmask, sig)
             stats["survivors"] += 1
@@ -471,11 +455,11 @@ class VerifyReport:
 # exhaustive enumeration
 
 
-def _dedupe_pool(pool, n: int, top_k: int, class_tol: float = CLASS_TOL):
+def _dedupe_pool(pool, n: int, top_k: int):
     """Merge a sorted candidate pool into switching-isomorphism classes.
 
     Walks entries in decreasing index order; an entry joins an existing class
-    only when the indices agree to ``class_tol`` and an exact switching
+    only when the indices agree to CLASS_TOL and an exact switching
     isomorphism exists.  Returns (classes, complete): complete means the walk
     passed strictly below the top_k-th class band, so every copy and every
     cohabitant of the reported classes was seen.
@@ -483,13 +467,13 @@ def _dedupe_pool(pool, n: int, top_k: int, class_tol: float = CLASS_TOL):
     classes: list[dict] = []
     complete = False
     for lam, gm, sm in pool:
-        if len(classes) >= top_k and lam < classes[top_k - 1]["index"] - class_tol:
+        if len(classes) >= top_k and lam < classes[top_k - 1]["index"] - CLASS_TOL:
             complete = True
             break
         g = _mask_graph(n, gm, sm)
         placed = False
         for cl in classes:
-            if abs(cl["index"] - lam) <= class_tol and is_switching_isomorphic(
+            if abs(cl["index"] - lam) <= CLASS_TOL and is_switching_isomorphic(
                 g, cl["graph"]
             ):
                 cl["mult"] += 1
@@ -505,7 +489,6 @@ def enumerate_extremal(
     spec: ForbiddenSpec,
     top_k: int = 1,
     workers: int | None = None,
-    class_tol: float = CLASS_TOL,
 ) -> SearchReport:
     """Top switching-isomorphism classes by index over all spec-free
     unbalanced signed graphs of order n (exhaustive, deterministic)."""
@@ -536,7 +519,7 @@ def enumerate_extremal(
         pool.sort(key=lambda e: (-e[0], e[1], e[2]))
         del pool[cap:]
         pool_full = len(pool) == cap
-        classes, complete = _dedupe_pool(pool, n, top_k, class_tol)
+        classes, complete = _dedupe_pool(pool, n, top_k)
         if complete or not pool_full:
             break
         cap *= 4
@@ -607,6 +590,7 @@ def verify_spectral_bound(n: int) -> VerifyReport:
     max_rho = 0.0
     witness = None
     violations = []
+    c3 = ForbiddenSpec("c3")
     for gmask in range(1, 1 << len(pairs)):
         slots, adj = _decode_adj(n, gmask)
         c, residual = _forest_residual(slots, adj, slot_of)
@@ -623,7 +607,7 @@ def verify_spectral_bound(n: int) -> VerifyReport:
             continue
         tris = _triangle_masks(slots, adj, slot_of, pairs)
         for sig in _residual_signatures(residual):
-            if not _tri_free(sig, tris, "tc3", 1):
+            if not triangles_free(n, _unbalanced(sig, tris), c3):
                 continue
             mx, mn = _eig_extremes(n, gmask, sig)
             rho = max(mx, -mn)
@@ -667,17 +651,45 @@ def _state_index(n: int, gmask: int, sigmask: int) -> float:
     return _eig_extremes(n, gmask, sigmask)[0]
 
 
-def _tri_delta(adj, neg, u: int, v: int, old: int | None, new: int | None) -> int:
-    """Change in unbalanced-triangle count when edge (u,v) goes old -> new.
+def _tri_delta(adj, neg, u: int, v: int, new: int | None) -> int:
+    """Bitmask of the vertices w whose triangle uvw is unbalanced once edge
+    (u,v) carries sign ``new`` (None: absent).
 
     ``adj`` and ``neg`` are the neighbor bitmasks of all edges and of the
     negative ones; triangle uvw is unbalanced iff the sign of uv differs from
     the sign of the path u-w-v.
     """
+    if new is None:
+        return 0
     common = adj[u] & adj[v]
-    odd = (common & (neg[u] ^ neg[v])).bit_count()  # negative paths u-w-v
-    per = {None: 0, 1: odd, -1: common.bit_count() - odd}
-    return per[new] - per[old]
+    odd = common & (neg[u] ^ neg[v])  # negative paths u-w-v
+    return odd if new == 1 else common ^ odd
+
+
+def _moves(n: int, gmask: int, sigmask: int, tris):
+    """Every delete/flip or add(+)/add(-) move from the state (gmask, sigmask)
+    with unbalanced triangles ``tris``, in slot order, as the candidate's
+    (gmask, sigmask, unbalanced triangles).  The lists are lex sorted."""
+    pairs, _ = _pairs(n)
+    _, adj = _decode_adj(n, gmask)
+    _, neg = _decode_adj(n, gmask & sigmask)
+    for k, (u, v) in enumerate(pairs):
+        bit = 1 << k
+        kept = [tri for tri in tris if u not in tri or v not in tri]
+        news = (None, 1 if sigmask & bit else -1) if gmask & bit else (1, -1)
+        for new in news:
+            cand = list(kept)
+            ws = _tri_delta(adj, neg, u, v, new)
+            while ws:
+                w = (ws & -ws).bit_length() - 1
+                ws &= ws - 1
+                cand.append(tuple(sorted((u, v, w))))
+            cand.sort()
+            yield (
+                gmask & ~bit if new is None else gmask | bit,
+                sigmask | bit if new == -1 else sigmask & ~bit,
+                cand,
+            )
 
 
 def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64):
@@ -711,19 +723,12 @@ def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64):
                     sig |= 1 << k
                     inserted.append(k)
                 continue
-            bad = [tm for tm in _triangle_masks(inserted, adj, slot_of, pairs)
-                   if (sig & tm).bit_count() & 1]
-            if spec.kind == "friendship":
-                free = is_forbidden_free(_mask_graph(n, gmask, sig), spec)
-            else:
-                free = _tri_free(sig, bad, spec.kind, spec.t)
-            if free:
-                return gmask, sig, len(bad), _state_index(n, gmask, sig)
+            bad = _unbalanced(sig, _triangle_masks(inserted, adj, slot_of, pairs))
+            if triangles_free(n, bad, spec):
+                return gmask, sig, sorted(bad), _state_index(n, gmask, sig)
             # too many forbidden pages: delete or flip an edge of some unbalanced triangle
-            tm = bad[rng.below(len(bad))]
-            for _ in range(rng.below(3)):  # its edges uv, uw, vw in slot order
-                tm &= tm - 1
-            bit = tm & -tm
+            a, b, c = bad[rng.below(len(bad))]
+            bit = 1 << slot_of[((a, b), (a, c), (b, c))[rng.below(3)]]
             if rng.unit() < 0.5:
                 gmask ^= bit
                 sig &= ~bit
@@ -754,10 +759,8 @@ def local_search(
     if restarts < 1 or restarts > 10**6:
         raise ValueError("restarts must be in [1, 10^6]")
     t0 = time.perf_counter()
-    pairs, _ = _pairs(n)
     excluded = [g for g in exclude]
     master = SplitMix64(seed)
-    fast_count = spec.kind in ("tc3", "c3")
 
     global_best = None  # (gmask, sigmask, unbalanced triangles, index)
     restart_bests: list[float | None] = []
@@ -778,37 +781,17 @@ def local_search(
         else:
             raise RuntimeError("could not seed a start state outside the excluded classes")
         for _step in range(MAX_STEPS):
-            gmask, sig, count, idx = st
-            _, adj = _decode_adj(n, gmask)
-            _, neg = _decode_adj(n, gmask & sig)
-            moves = []
-            for k in range(len(pairs)):
-                if gmask >> k & 1:
-                    moves += ((k, None), (k, 1 if sig >> k & 1 else -1))  # delete, flip
-                else:
-                    moves += ((k, 1), (k, -1))
+            gmask, sig, tris, idx = st
             candidates = []  # (idx, order_key, state)
-            for order_key, (k, new) in enumerate(moves):
-                bit = 1 << k
-                if fast_count:
-                    old = (-1 if sig & bit else 1) if gmask & bit else None
-                    u, v = pairs[k]
-                    ncount = count + _tri_delta(adj, neg, u, v, old, new)
-                    if ncount >= spec.t:
-                        continue
-                cand_g = gmask & ~bit if new is None else gmask | bit
-                cand_s = sig | bit if new == -1 else sig & ~bit
-                # an unbalanced triangle already proves the candidate unbalanced
-                if (not fast_count or ncount == 0) and _balanced(n, cand_g, cand_s):
+            for order_key, (cand_g, cand_s, cand_tris) in enumerate(_moves(n, gmask, sig, tris)):
+                if not triangles_free(n, cand_tris, spec):
                     continue
-                if not fast_count:
-                    graph = _mask_graph(n, cand_g, cand_s)
-                    if not is_forbidden_free(graph, spec):
-                        continue
-                    ncount = count_unbalanced_triangles(graph)
+                # an unbalanced triangle already proves the candidate unbalanced
+                if not cand_tris and _balanced(n, cand_g, cand_s):
+                    continue
                 cand_idx = _state_index(n, cand_g, cand_s)
                 if cand_idx > idx + IMPROVE_TOL:
-                    candidates.append((cand_idx, order_key, (cand_g, cand_s, ncount, cand_idx)))
+                    candidates.append((cand_idx, order_key, (cand_g, cand_s, cand_tris, cand_idx)))
             candidates.sort(key=lambda c: (-c[0], c[1]))
             for _idx, _key, cand in candidates:
                 if not is_excluded(cand[0], cand[1]):

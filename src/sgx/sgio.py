@@ -56,8 +56,13 @@ def to_json_obj(g: SignedGraph) -> dict:
     return {"n": g.n, "edges": [[u, v, s] for (u, v), s in zip(g.edges, g.signs)]}
 
 
-def from_json_obj(obj: dict) -> SignedGraph:
-    return new_signed_graph(int(obj["n"]), [(int(u), int(v), int(s)) for u, v, s in obj["edges"]])
+def from_json_obj(obj) -> SignedGraph:
+    if not isinstance(obj, dict) or "n" not in obj or not isinstance(obj.get("edges"), list):
+        raise ValueError('JSON graph must be an object with "n" and a list "edges"')
+    try:
+        return new_signed_graph(int(obj["n"]), [(int(u), int(v), int(s)) for u, v, s in obj["edges"]])
+    except TypeError as exc:
+        raise ValueError(f"bad JSON graph: {exc}") from exc
 
 
 def write_graph(g: SignedGraph, path) -> None:

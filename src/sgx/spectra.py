@@ -28,10 +28,7 @@ __all__ = [
     "verify_quotient_spectrum",
     "poly_mul",
     "poly_sub",
-    "poly_eval",
     "largest_real_root",
-    "matrix_to_json_obj",
-    "matrix_from_json_obj",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -142,8 +139,10 @@ def eigenvalues_symmetric(mat, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full spectrum of a symmetric matrix by deterministic cyclic Jacobi.
 
     ``tol`` bounds both the accepted input asymmetry and the off-diagonal
-    Frobenius norm at termination.
+    Frobenius norm at termination; it must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     a = np.array(mat, dtype=np.float64, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -282,13 +281,6 @@ def poly_sub(p, q):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def largest_real_root(p, tol: float = 1e-12) -> float:
@@ -450,35 +442,3 @@ def verify_quotient_spectrum(g, partition, tol: float = 1e-8) -> QuotientSpectru
         tol=tol,
     )
 
-
-# ---------------------------------------------------------------------------
-# matrix JSON interchange: integers stay integers, reals become decimal strings
-
-
-def matrix_to_json_obj(mat) -> list:
-    a = np.asarray(mat)
-    out = []
-    for row in a.tolist():
-        r = []
-        for x in row:
-            if isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < 2**53):
-                r.append(int(x))
-            else:
-                r.append(repr(float(x)))
-        out.append(r)
-    return out
-
-
-def matrix_from_json_obj(obj) -> np.ndarray:
-    rows = []
-    exact = True
-    for row in obj:
-        r = []
-        for x in row:
-            if isinstance(x, str):
-                exact = False
-                r.append(float(x))
-            else:
-                r.append(x)
-        rows.append(r)
-    return np.array(rows, dtype=np.int64 if exact else np.float64)

@@ -145,6 +145,16 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["check", "--forbid", "heptagon:2", str(out)]) == 2
     # missing file
     assert main(["index", str(tmp_path / "missing.sg")]) == 2
+    # eigensolver tolerance must be finite and positive
+    for tol in ("0", "-1", "nan", "inf"):
+        assert main(["index", "--tol", tol, str(out)]) == 2
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+    # JSON graphs that are not an object with "n" and a list "edges"
+    for text in ('{"edges": []}', "[]", '{"n": 3, "edges": {}}', '{"n": 3, "edges": [5]}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["index", str(bad)]) == 2
+        assert "JSON graph" in capsys.readouterr().err
     # argparse-level errors exit 2
     assert main(["enumerate", "--forbid", "tc3:2"]) == 2
 

@@ -52,15 +52,11 @@ def test_class_totals_match_brute_force():
 
 
 def _mask_side_unbalanced(n, gmask, sig):
-    from sgx.search import _decode_adj, _pairs, _triangle_masks
+    from sgx.search import _decode_adj, _pairs, _triangle_masks, _unbalanced
 
     pairs, slot_of = _pairs(n)
     slots, adj = _decode_adj(n, gmask)
-    out = []
-    for tm in _triangle_masks(slots, adj, slot_of, pairs):
-        if (sig & tm).bit_count() & 1:
-            out.append(tuple(sorted({x for k, p in enumerate(pairs) if tm >> k & 1 for x in p})))
-    return tuple(out)
+    return tuple(_unbalanced(sig, _triangle_masks(slots, adj, slot_of, pairs)))
 
 
 def test_mask_side_unbalanced_triangles_match_core():
@@ -85,24 +81,18 @@ def test_mask_side_unbalanced_triangles_match_core():
 @pytest.mark.parametrize("spec", [ForbiddenSpec("tc3", 3), ForbiddenSpec("book", 2),
                                   ForbiddenSpec("friendship", 2)], ids=str)
 def test_move_updates_match_recomputed_triangles(spec):
-    from sgx.search import _decode_adj, _mask_graph, _pairs, _random_state, _tri_delta
+    from sgx.search import _mask_graph, _moves, _pairs, _random_state
 
     rng = SplitMix64(515)
     for n in (7, 9):
         pairs, _ = _pairs(n)
         for _ in range(3):
-            gmask, sig, count, _idx = _random_state(n, spec, rng)
-            assert count == len(unbalanced_triangles(_mask_graph(n, gmask, sig)))
-            _, adj = _decode_adj(n, gmask)
-            _, neg = _decode_adj(n, gmask & sig)
-            for k, (u, v) in enumerate(pairs):
-                bit = 1 << k
-                old = (-1 if sig & bit else 1) if gmask & bit else None
-                for new in ((None, -old) if old else (1, -1)):
-                    cand_g = gmask & ~bit if new is None else gmask | bit
-                    cand_s = sig | bit if new == -1 else sig & ~bit
-                    recomputed = unbalanced_triangles(_mask_graph(n, cand_g, cand_s))
-                    assert count + _tri_delta(adj, neg, u, v, old, new) == len(recomputed)
+            gmask, sig, tris, _idx = _random_state(n, spec, rng)
+            assert tuple(tris) == unbalanced_triangles(_mask_graph(n, gmask, sig))
+            moves = list(_moves(n, gmask, sig, tris))
+            assert len(moves) == 2 * len(pairs)
+            for cand_g, cand_s, cand_tris in moves:
+                assert tuple(cand_tris) == unbalanced_triangles(_mask_graph(n, cand_g, cand_s))
 
 
 # --- exhaustive enumeration ------------------------------------------------------

@@ -14,14 +14,12 @@ from sgx.spectra import (
     _JACOBI_KERNEL,
     DEFAULT_TOL,
     MAX_SWEEPS,
+    CharPoly,
     _jacobi_sweeps,
     char_poly_exact,
     eigenvalues_symmetric,
     index,
     largest_real_root,
-    matrix_from_json_obj,
-    matrix_to_json_obj,
-    poly_eval,
     poly_mul,
     poly_sub,
     quotient_matrix,
@@ -244,7 +242,7 @@ def test_poly_helpers():
     p = (1, 1)  # x + 1
     assert poly_mul(p, p) == (1, 2, 1)
     assert poly_sub((1, 2, 1), (1, 0, 1)) == (0, 2)
-    assert poly_eval((2, -3, 0, 1), 1) == 0
+    assert CharPoly((2, -3, 0, 1))(1) == 0
 
 
 def test_largest_real_root():
@@ -324,20 +322,3 @@ def test_verify_quotient_requires_equitable():
     p3 = new_signed_graph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(ValueError, match="equitable"):
         verify_quotient_spectrum(p3, [(0, 1), (2,)])
-
-
-# --- matrix JSON interchange --------------------------------------------------
-
-
-def test_matrix_json_roundtrip_int():
-    a = gamma(5, 3).adjacency_matrix()
-    obj = matrix_to_json_obj(a)
-    assert all(isinstance(x, int) for row in obj for x in row)
-    assert (matrix_from_json_obj(obj) == a).all()
-
-
-def test_matrix_json_roundtrip_real():
-    a = np.array([[0.0, 1.5], [1.5, 0.25]])
-    obj = matrix_to_json_obj(a)
-    assert isinstance(obj[0][1], str)
-    assert np.array_equal(matrix_from_json_obj(obj), a)
