@@ -3,13 +3,19 @@
 Nothing here shares an algorithm with the code under test: polynomial roots
 come from exact Sturm sequences over Fractions, maximum matchings from subset
 search, and the switching-reduced enumerator is checked against a raw scan of
-all 3^C(n,2) signed graphs.
+all 3^C(n,2) signed graphs.  The one exception is ``labeled_enumerate``, the
+byte-identity oracle of the isomorph-free enumerator: it scans every labeled
+graph with the enumerator's own slot-mask helpers and kernel, so that the two
+paths differ only in which labelings they scan.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+
+import numpy as np
 
 from sgx.core import (
     SignedGraph,
@@ -19,7 +25,12 @@ from sgx.core import (
     switching_normal_form,
     switching_representative,
 )
-from sgx.forbidden import ForbiddenSpec, is_forbidden_free
+from sgx.forbidden import (
+    ForbiddenSpec,
+    count_unbalanced_triangles,
+    is_forbidden_free,
+    triangles_free,
+)
 from sgx.spectra import eigenvalues_symmetric
 
 # ---------------------------------------------------------------------------
@@ -286,3 +297,122 @@ def naive_enumerate(n: int, spec: ForbiddenSpec, top_k: int, tol: float = 1e-9):
         else:
             classes.append({"index": idx, "graph": g, "mult": 1})
     return classes
+
+
+# ---------------------------------------------------------------------------
+# labeled exhaustive enumeration (the byte-identity oracle)
+
+
+def _scan_labeled_range(n, spec, lo, hi, pool_cap):
+    """Top ``pool_cap`` candidates (index, gmask, sigmask) over the labeled
+    graphs with slot masks in [lo, hi), in decreasing Hong-bound order with
+    the same pruning as the enumerator."""
+    from sgx.search import (
+        CLASS_TOL,
+        _decode_adj,
+        _eig_extremes,
+        _forest_residual,
+        _pairs,
+        _residual_signatures,
+        _triangle_masks,
+        _unbalanced,
+    )
+
+    pairs, slot_of = _pairs(n)
+    masks = np.arange(lo, hi, dtype=np.uint32)
+    mcount = np.bitwise_count(masks).astype(np.int32)
+    supp = np.zeros(len(masks), dtype=np.int32)
+    for v in range(n):
+        inc = 0
+        for k, (a, b) in enumerate(pairs):
+            if v in (a, b):
+                inc |= 1 << k
+        supp += (masks & np.uint32(inc)) != 0
+    hong = np.sqrt(np.maximum(2 * mcount - supp + 1, 1).astype(np.float64))
+    order = np.lexsort((masks, -hong))
+
+    pool = []
+    theta = -math.inf
+    full = False
+
+    def flush():
+        nonlocal theta, full
+        pool.sort(key=lambda e: (-e[0], e[1], e[2]))
+        del pool[pool_cap:]
+        full = len(pool) == pool_cap
+        if full:
+            theta = pool[-1][0]
+
+    for oi in order:
+        h = float(hong[oi])
+        if full and h < theta - CLASS_TOL:
+            break
+        gmask = int(masks[oi])
+        if gmask == 0:
+            continue
+        lam_g, _ = _eig_extremes(n, gmask, 0)
+        if full and lam_g < theta - CLASS_TOL:
+            continue
+        slots, adj = _decode_adj(n, gmask)
+        _, residual = _forest_residual(slots, adj, slot_of)
+        if not residual:
+            continue
+        tris = _triangle_masks(slots, adj, slot_of, pairs)
+        for sig in _residual_signatures(residual):
+            if not triangles_free(n, _unbalanced(sig, tris), spec):
+                continue
+            lam, _ = _eig_extremes(n, gmask, sig)
+            if full and lam < theta - CLASS_TOL:
+                continue
+            pool.append((lam, gmask, sig))
+            if len(pool) >= 2 * pool_cap or (not full and len(pool) >= pool_cap):
+                flush()
+    flush()
+    return pool
+
+
+def labeled_enumerate(n: int, spec: ForbiddenSpec, top_k: int):
+    """The enumerator's report computed over every labeled graph: one range
+    of all 2^C(n,2) slot masks, the pool regrown as the enumerator does."""
+    from sgx.search import (
+        DEFAULT_POOL,
+        ClassEntry,
+        SearchReport,
+        _dedupe_pool,
+        classify,
+        total_switching_classes,
+    )
+
+    total_masks = 1 << (n * (n - 1) // 2)
+    cap = DEFAULT_POOL
+    for _attempt in range(4):
+        pool = _scan_labeled_range(n, spec, 0, total_masks, cap)
+        classes, complete = _dedupe_pool(pool, n, top_k)
+        if complete or len(pool) < cap:
+            break
+        cap *= 4
+    else:
+        raise RuntimeError("labeled oracle: candidate pool too small")
+    entries = [
+        ClassEntry(
+            index=cl["index"],
+            unbalanced_triangles=count_unbalanced_triangles(cl["graph"]),
+            graph=cl["graph"],
+            tag=classify(cl["graph"]),
+            multiplicity=cl["mult"],
+        )
+        for cl in classes
+    ]
+    return SearchReport(
+        mode="exhaustive",
+        n=n,
+        forbidden=str(spec),
+        top_k=top_k,
+        entries=entries,
+        graphs_visited=total_masks,
+        classes_visited=total_switching_classes(n),
+        notes=[
+            "exhaustive over all labeled graphs; switching classes enumerated "
+            "as residual sign assignments on a positive spanning forest"
+        ],
+    )

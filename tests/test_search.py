@@ -12,7 +12,7 @@ from sgx.core import (
     unbalanced_triangles,
 )
 from sgx.families import gamma, kn_minus, sigma, u1
-from sgx.forbidden import ForbiddenSpec, is_forbidden_free
+from sgx.forbidden import ForbiddenSpec, is_forbidden_free, parse_forbidden
 from sgx.rng import SplitMix64
 from sgx.search import (
     classify,
@@ -29,7 +29,11 @@ from sgx.search import (
 from sgx.spectra import index, largest_real_root
 from sgx.families import g_poly
 
-from oracles import naive_enumerate
+from oracles import labeled_enumerate, naive_enumerate
+
+
+def _canonical(report) -> str:
+    return json.dumps(report.to_json_dict(canonical=True), sort_keys=True)
 
 
 # --- totals -------------------------------------------------------------------
@@ -152,6 +156,24 @@ def test_enumerate_matches_naive_oracle_small():
             assert abs(e.index - o["index"]) <= 1e-10
             assert e.multiplicity == o["mult"]
             assert is_switching_isomorphic(e.graph, o["graph"])
+
+
+ORACLE_SPECS = ("c3", "tc3:2", "tc3:3", "tc3:5", "tc3:7", "book:1", "book:2",
+                "friendship:1", "friendship:2")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_enumerate_equals_labeled_oracle(n, spec):
+    for top_k in (1, 3, 5):
+        mine = enumerate_extremal(n, parse_forbidden(spec), top_k=top_k, workers=1)
+        assert _canonical(mine) == _canonical(labeled_enumerate(n, parse_forbidden(spec), top_k))
+
+
+@pytest.mark.parametrize("spec,top_k", [("tc3:3", 1), ("friendship:2", 3)])
+def test_enumerate_n6_equals_labeled_oracle(spec, top_k):
+    mine = enumerate_extremal(6, parse_forbidden(spec), top_k=top_k, workers=1)
+    assert _canonical(mine) == _canonical(labeled_enumerate(6, parse_forbidden(spec), top_k))
 
 
 # --- classification ---------------------------------------------------------------
