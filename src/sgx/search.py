@@ -1,19 +1,33 @@
 """Exhaustive switching-class enumeration, stochastic search, and verifiers.
 
-The enumerator walks every labeled underlying graph on n vertices (bitmask
-over the C(n,2) vertex pairs).  For each graph it fixes a spanning forest
-all-positive and ranges the residual edge signs over {+,-}^(m-n+c): switching
-classes of signatures on a fixed graph correspond one-to-one with residual
-sign assignments, which cuts 3^m raw signatures down to 2^(m-n+c) classes.
+The enumerator scans the underlying graphs on n vertices up to isomorphism:
+one canonical labeling each (34 / 156 / 1,044 graphs at n = 5 / 6 / 7),
+grown by vertex addition and keyed by the minimum slot mask over the
+labelings that respect an iterated degree refinement.  For each graph it
+fixes a spanning forest all-positive and ranges the residual edge signs over
+{+,-}^(m-n+c): switching classes of signatures on a fixed graph correspond
+one-to-one with residual sign assignments, which cuts 3^m raw signatures
+down to 2^(m-n+c) classes.
 
 Pruning is by spectral dominance: the index of any signature is at most the
 index of the underlying all-positive graph, which is itself at most
 sqrt(2m - n' + 1) (n' = non-isolated vertices).  Graphs are processed in
 decreasing order of that bound, so once the bound falls below the running
 top-pool floor the remaining graphs can be discarded wholesale.  Pruned
-graphs still contribute to the visited totals; a post-pass asserts the pool
-floor sits strictly below the reported classes, so pruning can never change
-the report.
+graphs still contribute to the visited totals, which count labeled graphs
+and labeled switching classes.
+
+Reports are those of a scan over every labeled graph.  Only the
+representatives the report can reach, in decreasing index down to the
+top_k-th class minus 2 * CLASS_TOL, are expanded to their labeled orbits
+(all n! relabellings, each switched to its forest-positive form); every
+distinct labeled copy is solved with the same kernel, and the copies are
+merged into classes as a labeled scan merges them.  This is sound because
+relabelling does not change the spectrum, and each Jacobi value lies within
+its 1e-12 off-diagonal norm of the true eigenvalue (Weyl), which is far
+inside the CLASS_TOL margin.  A post-pass requires the representative pool
+to reach below that band or to hold every candidate, so pruning can never
+change the report.
 """
 
 from __future__ import annotations
@@ -23,8 +37,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import permutations, product
 
 from .core import (
     ISO_SIZE_LIMIT,
@@ -119,9 +132,9 @@ def _forest_residual(slots, adj, slot_of):
     return max(comp) + 1, [k for k in slots if k not in forest]
 
 
-def _balanced(n: int, gmask: int, sigmask: int) -> bool:
-    """Mask form of core.is_balanced: the potential fixed along the lex-BFS
-    forest must reproduce the sign of every edge."""
+def _forest_positive(n: int, gmask: int, sigmask: int) -> int:
+    """The switched sign mask of (gmask, sigmask) whose lex-BFS forest edges
+    are all positive: the residual form the scan enumerates."""
     pairs, slot_of = _pairs(n)
     slots, adj = _decode_adj(n, gmask)
     parent, _, order = _bfs_forest(adj)
@@ -130,7 +143,121 @@ def _balanced(n: int, gmask: int, sigmask: int) -> bool:
         p = parent[v]
         if p >= 0 and (minus >> p ^ sigmask >> slot_of[(p, v) if p < v else (v, p)]) & 1:
             minus |= 1 << v
-    return not any((sigmask >> k ^ minus >> pairs[k][0] ^ minus >> pairs[k][1]) & 1 for k in slots)
+    out = 0
+    for k in slots:
+        if (sigmask >> k ^ minus >> pairs[k][0] ^ minus >> pairs[k][1]) & 1:
+            out |= 1 << k
+    return out
+
+
+def _balanced(n: int, gmask: int, sigmask: int) -> bool:
+    """Mask form of core.is_balanced: switching the lex-BFS forest positive
+    leaves no negative edge."""
+    return _forest_positive(n, gmask, sigmask) == 0
+
+
+# ---------------------------------------------------------------------------
+# relabelling: graphs up to isomorphism and labeled orbits
+
+_PERMS_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_GRAPHS_CACHE: dict[int, tuple[int, ...]] = {}
+
+
+def _map_mask(mask: int, image) -> int:
+    """The slot mask with bit image[k] set for every bit k of mask."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << image[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
+def _slot_perms(n: int) -> list[tuple[int, ...]]:
+    """For each of the n! vertex maps p, the image slot of every slot."""
+    if n not in _PERMS_CACHE:
+        pairs, slot_of = _pairs(n)
+        _PERMS_CACHE[n] = [
+            tuple(slot_of[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in pairs)
+            for p in permutations(range(n))
+        ]
+    return _PERMS_CACHE[n]
+
+
+def _canonical_mask(n: int, gmask: int) -> int:
+    """Isomorphism-invariant labeling of the graph gmask: the minimum slot
+    mask over the labelings that give the cells of the iterated degree
+    refinement consecutive labels, cells in order of their colour."""
+    _, adj = _decode_adj(n, gmask)
+    nbrs = [[w for w in range(n) if a >> w & 1] for a in adj]
+    color = [0] * n
+    ncolors = 1
+    while True:
+        keys = [(color[v], tuple(sorted(color[w] for w in nbrs[v]))) for v in range(n)]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        if len(rank) == ncolors:
+            break
+        color = [rank[key] for key in keys]
+        ncolors = len(rank)
+    cells = [[v for v in range(n) if color[v] == c] for c in range(ncolors)]
+    pairs, slot_of = _pairs(n)
+    bit = [[0] * n for _ in range(n)]
+    for (a, b), k in slot_of.items():
+        bit[a][b] = bit[b][a] = 1 << k
+    edges = [pairs[k] for k in range(len(pairs)) if gmask >> k & 1]
+    best = None
+    perm = [0] * n
+    for choice in product(*(permutations(cell) for cell in cells)):
+        label = 0
+        for cell in choice:
+            for v in cell:
+                perm[v] = label
+                label += 1
+        mask = 0
+        for u, v in edges:
+            mask |= bit[perm[u]][perm[v]]
+        if best is None or mask < best:
+            best = mask
+    return best
+
+
+def _graphs(n: int) -> tuple[int, ...]:
+    """Canonical slot masks of the graphs on n vertices, one per isomorphism
+    class, ascending; grown from the graphs on n - 1 vertices by adding
+    vertex n - 1 with every neighbourhood."""
+    if n not in _GRAPHS_CACHE:
+        if n <= 1:
+            _GRAPHS_CACHE[n] = (0,)
+        else:
+            _, slot_of = _pairs(n)
+            smaller, _ = _pairs(n - 1)
+            embed = [slot_of[p] for p in smaller]
+            star = [slot_of[(u, n - 1)] for u in range(n - 1)]
+            out = set()
+            for g in _graphs(n - 1):
+                base = _map_mask(g, embed)
+                for nb in range(1 << (n - 1)):
+                    out.add(_canonical_mask(n, base | _map_mask(nb, star)))
+            _GRAPHS_CACHE[n] = tuple(sorted(out))
+    return _GRAPHS_CACHE[n]
+
+
+def _orbit(n: int, gmask: int, sigmask: int) -> set[tuple[int, int]]:
+    """Every labeled copy of the switching class of (gmask, sigmask), each
+    as (gmask, forest-positive sign mask)."""
+    cosets: dict[int, tuple[int, ...]] = {}  # image graph -> one map onto it
+    autos = []
+    for image in _slot_perms(n):
+        g2 = _map_mask(gmask, image)
+        cosets.setdefault(g2, image)
+        if g2 == gmask:
+            autos.append(image)
+    sigs = {_forest_positive(n, gmask, _map_mask(sigmask, a)) for a in autos}
+    return {
+        (g2, _forest_positive(n, g2, _map_mask(s, image)))
+        for g2, image in cosets.items()
+        for s in sigs
+    }
 
 
 def _residual_signatures(residual):
@@ -207,20 +334,20 @@ def total_switching_classes(n: int) -> int:
 # range scan (one worker)
 
 
+def _hong(n: int, gmask: int) -> float:
+    """sqrt(2m - n' + 1) (at least 1): Hong's bound on the index of the
+    underlying graph, n' its non-isolated vertices."""
+    _, adj = _decode_adj(n, gmask)
+    support = sum(1 for a in adj if a)
+    return math.sqrt(max(2 * gmask.bit_count() - support + 1, 1))
+
+
 def _scan_extremal_range(args):
+    """Top ``pool_cap`` representatives (index, gmask, sigmask) over the
+    generated graphs ``_graphs(n)[lo:hi]``, plus the scan counters."""
     (n, kind, t, lo, hi, pool_cap) = args
     pairs, slot_of = _pairs(n)
-    masks = np.arange(lo, hi, dtype=np.uint32)
-    mcount = np.bitwise_count(masks).astype(np.int32)
-    supp = np.zeros(len(masks), dtype=np.int32)
-    for v in range(n):
-        inc = 0
-        for k, (a, b) in enumerate(pairs):
-            if v in (a, b):
-                inc |= 1 << k
-        supp += (masks & np.uint32(inc)) != 0
-    hong = np.sqrt(np.maximum(2 * mcount - supp + 1, 1).astype(np.float64))
-    order = np.lexsort((masks, -hong))
+    order = sorted(((_hong(n, g), g) for g in _graphs(n)[lo:hi]), key=lambda e: (-e[0], e[1]))
 
     pool: list[tuple[float, int, int]] = []
     theta = -math.inf
@@ -237,11 +364,9 @@ def _scan_extremal_range(args):
 
     spec = ForbiddenSpec(kind, t)
 
-    for oi in order:
-        h = float(hong[oi])
+    for h, gmask in order:
         if full and h < theta - CLASS_TOL:
             break
-        gmask = int(masks[oi])
         if gmask == 0:
             continue
         lam_g, _ = _eig_extremes(n, gmask, 0)
@@ -352,7 +477,10 @@ class SearchReport:
     ``to_json_dict(canonical=True)`` drops the wall-time field; canonical
     reports are byte-identical across runs and worker counts.  "Visited"
     totals count the whole covered space, including graphs discarded by the
-    sound spectral bound.
+    sound spectral bound.  ``scan_stats`` holds the enumeration counters
+    (scan counters summed over workers and pool rounds, labeled copies
+    expanded, pool rounds); they depend on the worker count, so they are
+    shown in the table footer and kept out of the JSON.
     """
 
     mode: str
@@ -367,6 +495,7 @@ class SearchReport:
     excluded: list[str] = field(default_factory=list)
     restart_best_indices: list[float | None] | None = None
     notes: list[str] = field(default_factory=list)
+    scan_stats: dict[str, int] | None = None
     wall_time_s: float = 0.0
 
     def to_json_dict(self, canonical: bool = False) -> dict:
@@ -412,6 +541,14 @@ class SearchReport:
             )
         for note in self.notes:
             lines.append(f"note: {note}")
+        if self.scan_stats is not None:
+            st = self.scan_stats
+            lines.append(
+                f"scan: graphs diagonalised {st['graphs_eig']}  "
+                f"graphs enumerated {st['graphs_enum']}  classes filtered {st['classes_enum']}  "
+                f"survivors {st['survivors']}  labeled copies {st['copies_expanded']}  "
+                f"pool rounds {st['pool_rounds']}"
+            )
         return "\n".join(lines)
 
 
@@ -484,6 +621,29 @@ def _dedupe_pool(pool, n: int, top_k: int):
     return classes, complete
 
 
+def _reachable_copies(pool, n: int, top_k: int, full: bool):
+    """The labeled copies of every class the report can reach, or None when
+    the representative pool is full and does not reach below the band.
+
+    Walks the sorted representative pool; a representative already among
+    the copies of an earlier one is the same class.  The band starts
+    2 * CLASS_TOL below the top_k-th class.
+    """
+    copies: set[tuple[int, int]] = set()
+    classes = 0
+    band = -math.inf
+    for lam, gm, sm in pool:
+        if lam < band:
+            return copies
+        if (gm, sm) in copies:
+            continue
+        copies |= _orbit(n, gm, sm)
+        classes += 1
+        if classes == top_k:
+            band = lam - 2 * CLASS_TOL
+    return None if full else copies
+
+
 def enumerate_extremal(
     n: int,
     spec: ForbiddenSpec,
@@ -500,33 +660,40 @@ def enumerate_extremal(
         raise ValueError("top_k must be >= 1")
     workers = _resolve_workers(workers)
     t0 = time.perf_counter()
-    npairs = n * (n - 1) // 2
-    total_masks = 1 << npairs
+    ngraphs = len(_graphs(n))
+    bounds = [(ngraphs * w // workers, ngraphs * (w + 1) // workers) for w in range(workers)]
+    stats: dict[str, int] = {}
 
     cap = DEFAULT_POOL
-    for _attempt in range(4):
-        bounds = [
-            (total_masks * w // workers, total_masks * (w + 1) // workers)
-            for w in range(workers)
-        ]
+    for rounds in range(1, 5):
         tasks = [(n, spec.kind, spec.t, lo, hi, cap) for lo, hi in bounds if lo < hi]
-        if len(tasks) == 1:
-            results = [_scan_extremal_range(tasks[0])]
+        procs = min(workers, len(tasks), os.cpu_count() or 1)
+        if procs == 1:
+            results = [_scan_extremal_range(task) for task in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
+            with ProcessPoolExecutor(max_workers=procs) as ex:
                 results = list(ex.map(_scan_extremal_range, tasks))
+        for _, st in results:
+            for key, val in st.items():
+                stats[key] = stats.get(key, 0) + val
         pool = [e for p, _ in results for e in p]
         pool.sort(key=lambda e: (-e[0], e[1], e[2]))
         del pool[cap:]
-        pool_full = len(pool) == cap
-        classes, complete = _dedupe_pool(pool, n, top_k)
-        if complete or not pool_full:
+        copies = _reachable_copies(pool, n, top_k, len(pool) == cap)
+        if copies is not None:
             break
         cap *= 4
     else:
         raise RuntimeError(
             "candidate pool too small after four attempts of growing size; raise DEFAULT_POOL"
         )
+    labeled = sorted(
+        ((_eig_extremes(n, gm, sm)[0], gm, sm) for gm, sm in copies),
+        key=lambda e: (-e[0], e[1], e[2]),
+    )
+    classes, _ = _dedupe_pool(labeled, n, top_k)
+    stats["copies_expanded"] = len(labeled)
+    stats["pool_rounds"] = rounds
 
     entries = []
     for cl in classes:
@@ -548,8 +715,9 @@ def enumerate_extremal(
         forbidden=str(spec),
         top_k=top_k,
         entries=entries,
-        graphs_visited=total_masks,
+        graphs_visited=1 << (n * (n - 1) // 2),
         classes_visited=total_switching_classes(n),
+        scan_stats=stats,
         notes=[
             "exhaustive over all labeled graphs; switching classes enumerated "
             "as residual sign assignments on a positive spanning forest"

@@ -176,6 +176,121 @@ def test_enumerate_n6_equals_labeled_oracle(spec, top_k):
     assert _canonical(mine) == _canonical(labeled_enumerate(6, parse_forbidden(spec), top_k))
 
 
+# --- isomorph-free generation ----------------------------------------------------
+
+A000088 = (1, 2, 4, 11, 34, 156, 1044)  # graphs on n = 1..7 vertices up to isomorphism
+
+
+def test_generated_graph_counts_match_a000088():
+    from sgx.search import _graphs
+
+    assert tuple(len(_graphs(n)) for n in range(1, 8)) == A000088
+
+
+def test_generated_orbits_cover_every_labeled_graph_once():
+    """Sum over the generated graphs of n!/|Aut(G)|, counted as the distinct
+    relabelled slot masks, is the number of labeled graphs exactly."""
+    from itertools import permutations
+
+    from sgx.search import _graphs, _pairs
+
+    for n in range(1, 7):
+        pairs, slot_of = _pairs(n)
+        images = []
+        for perm in permutations(range(n)):
+            images.append([slot_of[tuple(sorted((perm[u], perm[v])))] for u, v in pairs])
+        total = 0
+        for gmask in _graphs(n):
+            slots = [k for k in range(len(pairs)) if gmask >> k & 1]
+            total += len({sum(1 << img[k] for k in slots) for img in images})
+        assert total == 1 << len(pairs)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace ProcessPoolExecutor by a recorder that maps in-process; the
+    list holds the max_workers of every pool asked for."""
+    import sgx.search as search
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+def test_enumerate_bounds_the_process_count(monkeypatch, serial_pool):
+    import sgx.search as search
+
+    spec = ForbiddenSpec("tc3", 2)
+    one = _canonical(enumerate_extremal(5, spec, top_k=3, workers=1))
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    assert _canonical(enumerate_extremal(5, spec, top_k=3, workers=10_000)) == one
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 64)
+    enumerate_extremal(3, spec, top_k=3, workers=10_000)  # 4 generated graphs
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert _canonical(enumerate_extremal(5, spec, top_k=3, workers=10_000)) == one
+    assert serial_pool == [4, 4]
+
+
+def test_scan_stats_sum_the_workers_and_stay_out_of_json(monkeypatch, serial_pool):
+    import sgx.search as search
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    spec = ForbiddenSpec("friendship", 2)
+    rep = enumerate_extremal(5, spec, top_k=3, workers=3)
+    ngraphs = len(search._graphs(5))
+    want = dict.fromkeys(("graphs_eig", "graphs_enum", "classes_enum", "survivors"), 0)
+    for w in range(3):
+        lo, hi = ngraphs * w // 3, ngraphs * (w + 1) // 3
+        _, st = search._scan_extremal_range((5, "friendship", 2, lo, hi, search.DEFAULT_POOL))
+        for key in want:
+            want[key] += st[key]
+    want["copies_expanded"] = sum(e.multiplicity for e in rep.entries)
+    want["pool_rounds"] = 1
+    assert serial_pool == [3]
+    assert rep.scan_stats == want
+    assert rep.render_table().splitlines()[-1] == (
+        f"scan: graphs diagonalised {want['graphs_eig']}  graphs enumerated {want['graphs_enum']}  "
+        f"classes filtered {want['classes_enum']}  survivors {want['survivors']}  "
+        f"labeled copies {want['copies_expanded']}  pool rounds 1"
+    )
+    oracle = labeled_enumerate(5, spec, 3)
+    assert rep.to_json_dict(canonical=True) == oracle.to_json_dict(canonical=True)
+    assert rep.to_json_dict().keys() == oracle.to_json_dict().keys()
+
+
+def test_small_pool_prunes_and_regrows_to_the_same_report(monkeypatch):
+    """A tiny representative pool fills at once, so the Hong and
+    underlying-index prunes fire and the pool regrows; the report must not
+    change."""
+    import sgx.search as search
+
+    want = {spec: _canonical(labeled_enumerate(5, parse_forbidden(spec), 3))
+            for spec in ("tc3:3", "book:2", "friendship:2")}
+    monkeypatch.setattr(search, "DEFAULT_POOL", 2)
+    rounds = []
+    for spec, text in want.items():
+        rep = enumerate_extremal(5, parse_forbidden(spec), top_k=3, workers=1)
+        assert _canonical(rep) == text
+        rounds.append(rep.scan_stats["pool_rounds"])
+    assert max(rounds) > 1
+    _, stats = search._scan_extremal_range((5, "tc3", 3, 0, len(search._graphs(5)), 2))
+    assert stats["graphs_eig"] < len(search._graphs(5)) - 1  # the empty graph is never solved
+
+
 # --- classification ---------------------------------------------------------------
 
 
