@@ -32,6 +32,7 @@ change the report.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import time
@@ -58,6 +59,7 @@ from .rng import SplitMix64
 from .sgio import to_sg_text
 from .spectra import (
     _diagonalise,
+    _top_pair,
     char_poly_exact,
     index,
     poly_mul,
@@ -88,6 +90,8 @@ CLASS_TOL = 1e-9
 IMPROVE_TOL = 1e-10
 DEFAULT_POOL = 1024
 MAX_STEPS = 400
+SCREEN_GAP = 1e-6  # below this lambda_1 - lambda_2 the move screen solves every move
+EIG_ERR = 1e-10  # allowance for the error of one computed eigenvalue (see _screen)
 WORKERS_ENV = "SGX_WORKERS"
 
 
@@ -295,14 +299,19 @@ def _unbalanced(sigmask: int, tris) -> list[tuple[int, int, int]]:
     return [tri for tm, tri in tris if (sigmask & tm).bit_count() & 1]
 
 
-def _eig_extremes(n: int, gmask: int, sigmask: int) -> tuple[float, float]:
-    """(lambda_1, lambda_n) of the signed graph (gmask, sigmask)."""
+def _rows(n: int, gmask: int, sigmask: int) -> list[list[float]]:
+    """Adjacency matrix of the signed graph (gmask, sigmask), as float rows."""
     pairs, _ = _pairs(n)
     rows = [[0.0] * n for _ in range(n)]
     for k, (u, v) in enumerate(pairs):
         if gmask >> k & 1:
             rows[u][v] = rows[v][u] = -1.0 if sigmask >> k & 1 else 1.0
-    diag = _diagonalise(rows, n)
+    return rows
+
+
+def _eig_extremes(n: int, gmask: int, sigmask: int) -> tuple[float, float]:
+    """(lambda_1, lambda_n) of the signed graph (gmask, sigmask)."""
+    diag = _diagonalise(_rows(n, gmask, sigmask), n)
     return max(diag), min(diag)
 
 
@@ -477,10 +486,14 @@ class SearchReport:
     ``to_json_dict(canonical=True)`` drops the wall-time field; canonical
     reports are byte-identical across runs and worker counts.  "Visited"
     totals count the whole covered space, including graphs discarded by the
-    sound spectral bound.  ``scan_stats`` holds the enumeration counters
-    (scan counters summed over workers and pool rounds, labeled copies
-    expanded, pool rounds); they depend on the worker count, so they are
-    shown in the table footer and kept out of the JSON.
+    sound spectral bound.  ``scan_stats`` holds the run's counters: for
+    enumeration, the scan counters summed over workers and pool rounds,
+    labeled copies expanded and pool rounds, which depend on the worker
+    count; for local search, summed over restarts, the steps, feasible
+    moves, solved moves, screen eigendecompositions and states checked
+    against the excluded classes, where the solved moves may depend on the
+    LAPACK build.  They are shown in the table footer and kept out of the
+    JSON.
     """
 
     mode: str
@@ -541,8 +554,15 @@ class SearchReport:
             )
         for note in self.notes:
             lines.append(f"note: {note}")
-        if self.scan_stats is not None:
-            st = self.scan_stats
+        st = self.scan_stats
+        if st is not None and self.mode == "local-search":
+            lines.append(
+                f"search: steps {st['steps']}  moves feasible {st['moves_feasible']}  "
+                f"moves solved {st['moves_solved']}  "
+                f"screen eigendecompositions {st['screen_eighs']}  "
+                f"exclusion checks {st['exclusion_checks']}"
+            )
+        elif st is not None:
             lines.append(
                 f"scan: graphs diagonalised {st['graphs_eig']}  "
                 f"graphs enumerated {st['graphs_enum']}  classes filtered {st['classes_enum']}  "
@@ -906,6 +926,123 @@ def _random_state(n: int, spec: ForbiddenSpec, rng: SplitMix64):
     raise RuntimeError("could not seed a feasible start state")
 
 
+def _screen(n: int, gmask: int, sigmask: int):
+    """Upper bounds on the index after one move from the state (gmask,
+    sigmask): ``(bound, margin)`` such that every candidate (cand_g, cand_s)
+    that differs from the state in one slot has a Jacobi index of at most
+    ``bound(cand_g, cand_s) + margin``.
+
+    Bound.  Let A be the state's matrix, with top eigenvalues lambda_1 >=
+    lambda_2 and unit top eigenvector x.  A move on slot uv adds
+    E = d (e_u e_v^T + e_v e_u^T), d = new sign - old sign (absent = 0), so
+    |d| <= 2 and ||E|| = |d|.  Write a unit vector y = alpha x + beta z with
+    z orthogonal to x.  Then x^T (A + E) x = lambda_1 + a, a = 2 d x_u x_v;
+    |z^T (A + E) x| = |z^T E x| <= b, b^2 = ||E x||^2 - a^2
+    = d^2 (x_u^2 + x_v^2) - a^2; and z^T (A + E) z <= lambda_2 + |d| (Weyl
+    on the complement of x).  So lambda_1(A + E) = max y^T (A + E) y is at
+    most the top eigenvalue of [[lambda_1 + a, b], [b, lambda_2 + |d|]],
+    which is ``bound``.  It costs O(1) per move once x is known.
+
+    Margin.  lambda_1, lambda_2 and x come from one LAPACK call
+    (``spectra._top_pair``), so they are approximate.  Let e = EIG_ERR bound
+    the error of a computed eigenvalue (LAPACK's backward error, about
+    n * eps * ||A|| < 1e-12 for n <= 64; the Jacobi kernel's, its 1e-12
+    off-diagonal tolerance plus rotation rounding of the same order) and of
+    the rounding in forming a, b and the 2 x 2 root.  With r = A x -
+    lambda_1 x and rho = ||r||: x^T A x = lambda_1 + x^T r gains at most
+    rho, z^T A x = z^T r at most rho, and the true lambda_2 exceeds the
+    computed one by at most e.  For z orthogonal to the computed x,
+    z^T A z <= lambda_2 + sin^2(theta) (lambda_1 - lambda_2), theta the
+    angle between the computed and the true top eigenvector; by Davis and
+    Kahan's sin theta theorem sin(theta) <= rho / (gap - e), gap the
+    computed lambda_1 - lambda_2, and lambda_1 - lambda_2 <= gap + rho + e.
+    The top eigenvalue of a 2 x 2 matrix grows by at most the sum of its
+    entry increments (Weyl), and the solved index exceeds the true one by at
+    most e, so margin = 2 rho + 2 e + sin^2(theta) (gap + rho + e).
+
+    When gap < SCREEN_GAP, x is ill-conditioned and every bound is +inf:
+    every move is solved.
+    """
+    lam1, lam2, x, rho = _top_pair(_rows(n, gmask, sigmask))
+    gap = lam1 - lam2
+    if gap < SCREEN_GAP:
+        return (lambda cand_g, cand_s: math.inf), 0.0
+    sin_theta = rho / (gap - EIG_ERR)
+    margin = 2 * rho + 2 * EIG_ERR + sin_theta * sin_theta * (gap + rho + EIG_ERR)
+    pairs, _ = _pairs(n)
+
+    def bound(cand_g: int, cand_s: int) -> float:
+        bit = (cand_g ^ gmask) | (cand_s ^ sigmask)
+        u, v = pairs[bit.bit_length() - 1]
+        d = (0 if not cand_g & bit else -1 if cand_s & bit else 1) - (
+            0 if not gmask & bit else -1 if sigmask & bit else 1
+        )
+        a = 2 * d * x[u] * x[v]
+        b2 = max(0.0, d * d * (x[u] * x[u] + x[v] * x[v]) - a * a)
+        p, q = lam1 + a, lam2 + abs(d)
+        return 0.5 * (p + q) + math.sqrt(0.25 * (p - q) * (p - q) + b2)
+
+    return bound, margin
+
+
+def _best_move(n: int, spec: ForbiddenSpec, st, is_excluded, stats: dict[str, int]):
+    """The state one local-search step moves to from st, or None at a local
+    maximum: of the feasible moves whose index exceeds st's by more than
+    IMPROVE_TOL, the first one not excluded in (-index, move order).
+
+    A move whose ``_screen`` bound plus margin is at most idx + IMPROVE_TOL
+    cannot qualify and is never solved.  The rest are solved in decreasing
+    bound order, ties in move order.  A qualifying solved move is checked
+    against the exclusions once its index exceeds the next unsolved move's
+    bound plus margin: then it precedes every unsolved move in
+    (-index, move order), so the checks run in that order over the moves a
+    step that solves every move would check, and the same move is taken.
+    The LAPACK bits in the bound decide only which moves get solved, never
+    which move is taken.
+    """
+    gmask, sig, tris, idx = st
+    feasible = []
+    for key, (cand_g, cand_s, cand_tris) in enumerate(_moves(n, gmask, sig, tris)):
+        if not triangles_free(n, cand_tris, spec):
+            continue
+        # an unbalanced triangle already proves the candidate unbalanced
+        if not cand_tris and _balanced(n, cand_g, cand_s):
+            continue
+        feasible.append((key, cand_g, cand_s, cand_tris))
+    stats["steps"] += 1
+    stats["moves_feasible"] += len(feasible)
+    if not feasible:
+        return None
+    stats["screen_eighs"] += 1
+    bound, margin = _screen(n, gmask, sig)
+    ranked = []  # (-bound, move order, move) of the moves that may qualify
+    for key, cand_g, cand_s, cand_tris in feasible:
+        ub = bound(cand_g, cand_s)
+        if ub > idx + IMPROVE_TOL - margin:
+            ranked.append((-ub, key, (cand_g, cand_s, cand_tris)))
+    ranked.sort(key=lambda r: r[:2])
+    solved = []  # (-index, move order, state) of the qualifying solved moves, sorted
+    checked = 0  # solved[:checked] are excluded
+    for pos in range(len(ranked) + 1):
+        limit = margin - ranked[pos][0] if pos < len(ranked) else -math.inf
+        while checked < len(solved) and -solved[checked][0] > limit:
+            cand = solved[checked][2]
+            if not is_excluded(cand[0], cand[1]):
+                return cand
+            checked += 1
+        if pos < len(ranked):
+            _, key, (cand_g, cand_s, cand_tris) = ranked[pos]
+            cand_idx = _state_index(n, cand_g, cand_s)
+            stats["moves_solved"] += 1
+            if cand_idx > idx + IMPROVE_TOL:
+                item = (-cand_idx, key, (cand_g, cand_s, cand_tris, cand_idx))
+                at = bisect.bisect(solved, item[:2])
+                if at < checked:
+                    raise AssertionError("move screen: a solved index exceeds its bound")
+                solved.insert(at, item)
+    return None
+
+
 def local_search(
     n: int,
     spec: ForbiddenSpec,
@@ -920,15 +1057,23 @@ def local_search(
     (tolerance 1e-10).  States switching-isomorphic to an excluded class are
     rejected as incumbents: the climb never occupies them, so it stalls at
     the best non-excluded state of the basin.  Evidence only: this search
-    proves nothing about optimality.
+    proves nothing about optimality.  Each step solves only the moves that
+    can win (``_best_move``) and takes the move a step that solves every
+    move takes; ``scan_stats`` holds the counters.
     """
     if not (3 <= n <= LOCAL_SEARCH_CAP):
         raise ValueError(f"local search supports 3 <= n <= {LOCAL_SEARCH_CAP}")
     if restarts < 1 or restarts > 10**6:
         raise ValueError("restarts must be in [1, 10^6]")
+    excluded = list(exclude)
+    for g in excluded:
+        if g.n != n:
+            raise ValueError(f"excluded graph has n={g.n}, but the search has n={n}")
     t0 = time.perf_counter()
-    excluded = [g for g in exclude]
     master = SplitMix64(seed)
+    stats = dict.fromkeys(
+        ("steps", "moves_feasible", "moves_solved", "screen_eighs", "exclusion_checks"), 0
+    )
 
     global_best = None  # (gmask, sigmask, unbalanced triangles, index)
     restart_bests: list[float | None] = []
@@ -936,6 +1081,7 @@ def local_search(
     def is_excluded(gmask: int, sigmask: int) -> bool:
         if not excluded:
             return False
+        stats["exclusion_checks"] += 1
         g = _mask_graph(n, gmask, sigmask)
         return any(is_switching_isomorphic(g, ex) for ex in excluded)
 
@@ -949,24 +1095,10 @@ def local_search(
         else:
             raise RuntimeError("could not seed a start state outside the excluded classes")
         for _step in range(MAX_STEPS):
-            gmask, sig, tris, idx = st
-            candidates = []  # (idx, order_key, state)
-            for order_key, (cand_g, cand_s, cand_tris) in enumerate(_moves(n, gmask, sig, tris)):
-                if not triangles_free(n, cand_tris, spec):
-                    continue
-                # an unbalanced triangle already proves the candidate unbalanced
-                if not cand_tris and _balanced(n, cand_g, cand_s):
-                    continue
-                cand_idx = _state_index(n, cand_g, cand_s)
-                if cand_idx > idx + IMPROVE_TOL:
-                    candidates.append((cand_idx, order_key, (cand_g, cand_s, cand_tris, cand_idx)))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            for _idx, _key, cand in candidates:
-                if not is_excluded(cand[0], cand[1]):
-                    st = cand
-                    break
-            else:
+            nxt = _best_move(n, spec, st, is_excluded, stats)
+            if nxt is None:
                 break
+            st = nxt
         restart_bests.append(st[3])
         if global_best is None or st[3] > global_best[3]:
             global_best = st
@@ -1003,6 +1135,7 @@ def local_search(
             "stochastic hill-climbing evidence; multiplicity counts restarts whose "
             "best index ties the global best; not a proof of optimality"
         ],
+        scan_stats=stats,
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -119,6 +119,20 @@ def _diagonalise(rows, n: int, tol: float = DEFAULT_TOL) -> list[float]:
     return [float(a[i][i]) for i in range(n)]
 
 
+def _top_pair(rows) -> tuple[float, float, list[float], float]:
+    """(lambda_1, lambda_2, unit top eigenvector x, ||A x - lambda_1 x||) of
+    the symmetric matrix ``rows`` (n >= 2 lists of n floats), by LAPACK
+    through numpy.linalg.eigh.
+
+    Not the deterministic kernel: the bits may differ between LAPACK builds,
+    so callers may use the result only where that cannot change an output.
+    """
+    a = np.array(rows, dtype=np.float64)
+    w, v = np.linalg.eigh(a)
+    x = v[:, -1]
+    return float(w[-1]), float(w[-2]), x.tolist(), float(np.linalg.norm(a @ x - w[-1] * x))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues of a symmetric matrix, sorted descending."""

@@ -3,10 +3,12 @@
 Nothing here shares an algorithm with the code under test: polynomial roots
 come from exact Sturm sequences over Fractions, maximum matchings from subset
 search, and the switching-reduced enumerator is checked against a raw scan of
-all 3^C(n,2) signed graphs.  The one exception is ``labeled_enumerate``, the
-byte-identity oracle of the isomorph-free enumerator: it scans every labeled
-graph with the enumerator's own slot-mask helpers and kernel, so that the two
-paths differ only in which labelings they scan.
+all 3^C(n,2) signed graphs.  The two exceptions are byte-identity oracles
+that reuse the code under test's own slot-mask helpers and kernel, so that
+the two paths differ in one decision only: ``labeled_enumerate`` (of the
+isomorph-free enumerator) scans every labeled graph, and
+``unscreened_local_search`` (of the screened local search) solves every
+feasible move.
 """
 
 from __future__ import annotations
@@ -414,5 +416,99 @@ def labeled_enumerate(n: int, spec: ForbiddenSpec, top_k: int):
         notes=[
             "exhaustive over all labeled graphs; switching classes enumerated "
             "as residual sign assignments on a positive spanning forest"
+        ],
+    )
+
+
+# ---------------------------------------------------------------------------
+# local search that solves every feasible move (the screen's oracle)
+
+
+def unscreened_local_search(n: int, spec: ForbiddenSpec, seed: int, restarts: int, exclude=()):
+    """``local_search`` without the move screen: every step solves every
+    feasible move and takes the best non-excluded one by (-index, move
+    order)."""
+    from sgx.core import ISO_SIZE_LIMIT
+    from sgx.rng import SplitMix64
+    from sgx.search import (
+        CLASS_TOL,
+        IMPROVE_TOL,
+        MAX_STEPS,
+        ClassEntry,
+        ClassificationTag,
+        SearchReport,
+        _balanced,
+        _mask_graph,
+        _moves,
+        _random_state,
+        _state_index,
+        classify,
+    )
+    from sgx.sgio import to_sg_text
+
+    excluded = list(exclude)
+    master = SplitMix64(seed)
+    global_best = None
+    restart_bests = []
+
+    def is_excluded(gmask, sigmask):
+        if not excluded:
+            return False
+        g = _mask_graph(n, gmask, sigmask)
+        return any(is_switching_isomorphic(g, ex) for ex in excluded)
+
+    for _restart in range(restarts):
+        rng = master.split()
+        st = _random_state(n, spec, rng)
+        for _resample in range(16):
+            if not is_excluded(st[0], st[1]):
+                break
+            st = _random_state(n, spec, rng)
+        else:
+            raise RuntimeError("could not seed a start state outside the excluded classes")
+        for _step in range(MAX_STEPS):
+            gmask, sig, tris, idx = st
+            candidates = []
+            for order_key, (cand_g, cand_s, cand_tris) in enumerate(_moves(n, gmask, sig, tris)):
+                if not triangles_free(n, cand_tris, spec):
+                    continue
+                if not cand_tris and _balanced(n, cand_g, cand_s):
+                    continue
+                cand_idx = _state_index(n, cand_g, cand_s)
+                if cand_idx > idx + IMPROVE_TOL:
+                    candidates.append((cand_idx, order_key, (cand_g, cand_s, cand_tris, cand_idx)))
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            for _idx, _key, cand in candidates:
+                if not is_excluded(cand[0], cand[1]):
+                    st = cand
+                    break
+            else:
+                break
+        restart_bests.append(st[3])
+        if global_best is None or st[3] > global_best[3]:
+            global_best = st
+
+    g = _mask_graph(n, global_best[0], global_best[1])
+    mult = sum(1 for b in restart_bests if abs(b - global_best[3]) <= CLASS_TOL)
+    entry = ClassEntry(
+        index=global_best[3],
+        unbalanced_triangles=count_unbalanced_triangles(g),
+        graph=g,
+        tag=classify(g) if n <= ISO_SIZE_LIMIT else ClassificationTag("other"),
+        multiplicity=mult,
+    )
+    return SearchReport(
+        mode="local-search",
+        n=n,
+        forbidden=str(spec),
+        top_k=1,
+        entries=[entry],
+        seed=seed,
+        restarts=restarts,
+        excluded=[to_sg_text(ex) for ex in excluded],
+        restart_best_indices=restart_bests,
+        notes=[
+            "stochastic hill-climbing evidence; multiplicity counts restarts whose "
+            "best index ties the global best; not a proof of optimality"
         ],
     )

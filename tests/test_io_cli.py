@@ -155,6 +155,10 @@ def test_cli_usage_errors(tmp_path, capsys):
         bad.write_text(text)
         assert main(["index", str(bad)]) == 2
         assert "JSON graph" in capsys.readouterr().err
+    # an excluded graph of another order can never match
+    assert main(["search", "--n", "7", "--forbid", "tc3:2", "--seed", "1", "--restarts", "2",
+                 "--exclude", "gamma:8,3"]) == 2
+    assert "excluded graph has n=8, but the search has n=7" in capsys.readouterr().err
     # argparse-level errors exit 2
     assert main(["enumerate", "--forbid", "tc3:2"]) == 2
 

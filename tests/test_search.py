@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,7 @@ from sgx.search import (
 from sgx.spectra import index, largest_real_root
 from sgx.families import g_poly
 
-from oracles import labeled_enumerate, naive_enumerate
+from oracles import labeled_enumerate, naive_enumerate, unscreened_local_search
 
 
 def _canonical(report) -> str:
@@ -350,6 +351,101 @@ def test_local_search_deterministic():
 def test_local_search_without_exclusion_finds_thm1_winner_n9():
     rep = local_search(9, ForbiddenSpec("tc3", 4), seed=42, restarts=60)
     assert is_switching_isomorphic(rep.entries[0].graph, gamma(9, 5))
+
+
+# --- the move screen: same moves as solving every move --------------------------------
+
+SEARCH_N9_OPS = [(t, min(t + 1, 9)) for t in range(3, 9)]  # (t, winner's gamma(9, .) parameter)
+
+
+def _search_n9(search=local_search):
+    """The six criterion 09 searches at one restart, seed 42, winner excluded."""
+    return [search(9, ForbiddenSpec("tc3", t), seed=42, restarts=1, exclude=[gamma(9, w)])
+            for t, w in SEARCH_N9_OPS]
+
+
+@pytest.fixture(scope="module")
+def screened_n9():
+    """The six n = 9 reports, with the numbers of _state_index calls and of
+    start states drawn (each start state costs one _state_index call)."""
+    import sgx.search as search
+
+    calls = {"_state_index": 0, "_random_state": 0}
+    real = {name: getattr(search, name) for name in calls}
+
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return real[name](*args)
+        return call
+
+    for name in calls:
+        setattr(search, name, counting(name))
+    try:
+        reports = _search_n9()
+    finally:
+        for name, fn in real.items():
+            setattr(search, name, fn)
+    return reports, calls
+
+
+def test_screened_search_equals_unscreened_oracle_n9(screened_n9):
+    reports, _ = screened_n9
+    want = _search_n9(unscreened_local_search)
+    assert [_canonical(r) for r in reports] == [_canonical(r) for r in want]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("spec", ["tc3:2", "book:2", "friendship:2"])
+def test_screened_search_equals_unscreened_oracle(spec, n):
+    args = (n, parse_forbidden(spec), 5, 2)
+    assert _canonical(local_search(*args)) == _canonical(unscreened_local_search(*args))
+
+
+def test_screened_search_solves_at_most_2000_states_n9(screened_n9):
+    """A deterministic guard in place of a timing test: solving every
+    feasible move makes 7,684 _state_index calls over these six searches."""
+    _, calls = screened_n9
+    assert calls["_state_index"] <= 2000
+
+
+def test_search_stats_count_the_solves_and_stay_out_of_json(screened_n9):
+    reports, calls = screened_n9
+    total = dict.fromkeys(reports[0].scan_stats, 0)
+    for rep in reports:
+        for key, val in rep.scan_stats.items():
+            total[key] += val
+    assert total["moves_solved"] == calls["_state_index"] - calls["_random_state"]
+    assert total["moves_solved"] < total["moves_feasible"]
+    assert 0 < total["screen_eighs"] <= total["steps"]
+    # every start state is checked, and so is the move of every step but each climb's last
+    assert total["exclusion_checks"] >= total["steps"]
+    st = reports[-1].scan_stats
+    assert reports[-1].render_table().splitlines()[-1] == (
+        f"search: steps {st['steps']}  moves feasible {st['moves_feasible']}  "
+        f"moves solved {st['moves_solved']}  screen eigendecompositions {st['screen_eighs']}  "
+        f"exclusion checks {st['exclusion_checks']}"
+    )
+    assert reports[-1].to_json_dict() == replace(reports[-1], scan_stats=None).to_json_dict()
+
+
+def test_move_bound_is_sound():
+    """bound + margin >= the Jacobi index of every feasible move, from one
+    seeded feasible state per order n = 5..16 under tc3, book and
+    friendship in turn."""
+    from sgx.search import _balanced, _moves, _random_state, _screen, _state_index
+    from sgx.forbidden import triangles_free
+
+    specs = [ForbiddenSpec("tc3", 3), ForbiddenSpec("book", 2), ForbiddenSpec("friendship", 2)]
+    rng = SplitMix64(618)
+    for n in range(5, 17):
+        spec = specs[n % 3]
+        gmask, sig, tris, _ = _random_state(n, spec, rng)
+        bound, margin = _screen(n, gmask, sig)
+        assert 0 < margin < 1e-9  # the screen is on: lambda_1 - lambda_2 >= SCREEN_GAP
+        for cand_g, cand_s, cand_tris in _moves(n, gmask, sig, tris):
+            if triangles_free(n, cand_tris, spec) and (cand_tris or not _balanced(n, cand_g, cand_s)):
+                assert _state_index(n, cand_g, cand_s) <= bound(cand_g, cand_s) + margin
 
 
 def test_workers_env_override(monkeypatch):
